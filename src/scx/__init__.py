@@ -13,13 +13,13 @@ from .chain import (BettiVector, CellMap, EquivariantComplex, SubcomplexRef,
                     TwistedComplex, betti, duality_check, euler_check,
                     h0_vanishing_check, induced_map, les_check, specialize,
                     untwisted_homology)
-from .groups import (FiniteQuotient, GroupPresentation, Representation,
-                     check_hom, dagger, enumerate_quotients, eval_word,
-                     permutation_representation, regular_representation,
-                     trivial_representation)
+from .groups import (CohomologyClass, FiniteQuotient, GroupPresentation,
+                     Representation, check_hom, dagger, enumerate_quotients,
+                     eval_word, permutation_representation,
+                     regular_representation, trivial_representation)
 from .scxio import ScxDocument, parse_scx, serialize_scx
-from .sutured import (CohomologyClass, SuturedComplex, Verdict,
-                      certify_taut, complexity_lower_bound, double,
-                      nonproduct_search, validate)
+from .sutured import (SuturedComplex, Verdict, certify_taut,
+                      complexity_lower_bound, double, nonproduct_search,
+                      validate)
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .algebra import (LaurentPoly, LaurentRing, Matrix, det_poly,
                       pid_homology_order, poly_to_str)
 from .chain import CellMap, betti, induced_map, specialize
-from .groups import Representation, eval_word, make_representation
-from .sutured import CohomologyClass
+from .groups import (CohomologyClass, Representation, eval_word,
+                     make_representation)
 
 
 class AlexError(Exception):

@@ -40,7 +40,10 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise AlgebraError(f"{x!r} is not a rational number") from None
         raise AlgebraError(f"cannot coerce {x!r} into Q")
 
     @property
@@ -121,7 +124,7 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, str):
-            return self.of(Fraction(x))
+            return self.of(QQ.of(x))
         raise AlgebraError(f"cannot coerce {x!r} into {self.name}")
 
     @property
@@ -426,9 +429,6 @@ class Matrix:
         return cls(dom, [[dom.one if i == j else dom.zero for j in range(n)]
                          for i in range(n)], n, n)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def transpose(self):
         return Matrix(self.dom, [[self.rows[i][j] for i in range(self.m)]
                                  for j in range(self.n)], self.n, self.m)
@@ -461,11 +461,6 @@ class Matrix:
         d = self.dom
         return Matrix(d, [[d.sub(self.rows[i][j], other.rows[i][j])
                            for j in range(self.n)] for i in range(self.m)],
-                      self.m, self.n)
-
-    def scale(self, c):
-        d = self.dom
-        return Matrix(d, [[d.mul(c, x) for x in r] for r in self.rows],
                       self.m, self.n)
 
     def __eq__(self, other):
@@ -509,16 +504,6 @@ def _dom_elem(dom, x):
     if isinstance(dom, LaurentRing):
         return isinstance(x, LaurentPoly)
     return _is_elem(dom, x)
-
-
-def block_matrix(dom, blocks):
-    """Assemble a matrix from a 2d grid of equally-shaped Matrix blocks."""
-    rows = []
-    for brow in blocks:
-        height = brow[0].m
-        for i in range(height):
-            rows.append([x for blk in brow for x in blk.rows[i]])
-    return Matrix(dom, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -118,21 +118,8 @@ class EquivariantComplex:
         return SubcomplexRef(name, cellset)
 
     def skeleton_connected(self) -> bool:
-        verts = list(self.cells[0])
-        if not verts:
-            return False
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.cells[1]:
-            head, _, tail, _ = self.edge_ends(e)
-            parent[find(head)] = find(tail)
-        return len({find(v) for v in verts}) == 1
+        return (bool(self.cells[0])
+                and len(self.components(self.cells[0] + self.cells[1])) == 1)
 
     def components(self, cells) -> list:
         """Connected components of a cell set via boundary incidence."""
@@ -346,33 +333,13 @@ def specialize(cx: EquivariantComplex, rep: Representation,
     if rep.pres is not cx.group and rep.pres.gens != cx.group.gens:
         raise SpecializeError("representation group does not match the complex")
     excluded = _cellset(rel)
-    dom, k = rep.dom, rep.dim
     ev = _RepEvaluator(rep)
     cells = {d: tuple(c for c in cx.cells[d] if c not in excluded)
              for d in range(MAX_DIM + 1)}
-    mats = {}
-    for d in range(1, MAX_DIM + 1):
-        rows_cells = cells[d - 1]
-        cols_cells = cells[d]
-        idx = {c: i for i, c in enumerate(rows_cells)}
-        mat = [[dom.zero] * (k * len(cols_cells))
-               for _ in range(k * len(rows_cells))]
-        for j, cell in enumerate(cols_cells):
-            for coeff, word, target in cx.boundary[cell]:
-                if target in excluded:
-                    continue
-                block = ev(word)
-                i0 = idx[target] * k
-                j0 = j * k
-                for a in range(k):
-                    for b in range(k):
-                        v = block.rows[a][b]
-                        if not dom.is_zero(v):
-                            if coeff != 1:
-                                v = dom.mul(dom.of(coeff), v)
-                            mat[i0 + a][j0 + b] = dom.add(mat[i0 + a][j0 + b], v)
-        mats[d] = Matrix(dom, mat, k * len(rows_cells), k * len(cols_cells))
-    tc = TwistedComplex(dom, k, cells, mats, label=rel.name if rel else "")
+    mats = {d: _block_matrix(ev, cells[d - 1], cells[d], cx.boundary, excluded)
+            for d in range(1, MAX_DIM + 1)}
+    tc = TwistedComplex(rep.dom, rep.dim, cells, mats,
+                        label=rel.name if rel else "")
     if check:
         for d in range(2, MAX_DIM + 1):
             prod = tc.boundary_matrix(d - 1) * tc.boundary_matrix(d)
@@ -380,6 +347,34 @@ def specialize(cx: EquivariantComplex, rep: Representation,
                 raise SpecializeError(f"d^2 != 0 under {rep.describe()} at"
                                       f" degree {d}: ill-formed input data")
     return tc
+
+
+def _block_matrix(ev: _RepEvaluator, row_cells, col_cells, terms,
+                  skip=frozenset()) -> Matrix:
+    """Each term (c, w, target) of terms[cell] adds the k x k block
+    c * rho(w) at (target, cell); targets in `skip` add nothing."""
+    dom, k = ev.rep.dom, ev.rep.dim
+    idx = {c: i for i, c in enumerate(row_cells)}
+    mat = [[dom.zero] * (k * len(col_cells)) for _ in range(k * len(row_cells))]
+    for j, cell in enumerate(col_cells):
+        for coeff, word, target in terms.get(cell, ()):
+            if target in skip:
+                continue
+            try:
+                i0 = idx[target] * k
+            except KeyError:
+                raise ChainError(f"{cell!r} maps to {target!r}, which is not"
+                                 " a cell of the target degree") from None
+            block = ev(word)
+            j0 = j * k
+            for a in range(k):
+                for b in range(k):
+                    v = block.rows[a][b]
+                    if not dom.is_zero(v):
+                        if coeff != 1:
+                            v = dom.mul(dom.of(coeff), v)
+                        mat[i0 + a][j0 + b] = dom.add(mat[i0 + a][j0 + b], v)
+    return Matrix(dom, mat, k * len(row_cells), k * len(col_cells))
 
 
 def _cellset(rel):
@@ -396,12 +391,10 @@ def betti(tc: TwistedComplex) -> BettiVector:
                for d in range(MAX_DIM + 1))
     chi_cells = sum((-1) ** d * tc.n_cells(d) for d in range(MAX_DIM + 1))
     total = sum((-1) ** d * bs[d] for d in range(MAX_DIM + 1))
-    assert total == tc.k * chi_cells
+    if total != tc.k * chi_cells:
+        raise ChainError(f"Euler identity fails: alternating Betti sum {total}"
+                         f" != k * chi = {tc.k * chi_cells}")
     return BettiVector(bs, tc.k, tc.dom.name)
-
-
-def betti_numbers(cx, rep, rel=None) -> BettiVector:
-    return betti(specialize(cx, rep, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +631,9 @@ def induced_map(cx, source, rep, degree) -> Matrix:
             raise ChainError("cell map target mismatch")
         src_rep = pullback_representation(source, rep)
         src = specialize(source.source, src_rep, None)
-        T_by_deg = {d: _cellmap_matrix(source, src, full, rep, d)
+        ev = _RepEvaluator(rep)
+        T_by_deg = {d: _block_matrix(ev, full.cells[d], src.cells[d],
+                                     source.cell_images)
                     for d in range(MAX_DIM + 1)}
         for d in range(1, MAX_DIM + 1):
             lhs = full.boundary_matrix(d) * T_by_deg[d]
@@ -660,26 +655,6 @@ def _embedding_matrix(dom, positions, total) -> Matrix:
     for j, pos in enumerate(positions):
         rows[pos][j] = dom.one
     return Matrix(dom, rows, total, len(positions))
-
-
-def _cellmap_matrix(cmap: CellMap, src: TwistedComplex, tgt: TwistedComplex,
-                    rep, d) -> Matrix:
-    dom, k = rep.dom, rep.dim
-    ev = _RepEvaluator(rep)
-    tgt_idx = {c: i for i, c in enumerate(tgt.cells[d])}
-    mat = [[dom.zero] * (k * src.n_cells(d)) for _ in range(k * tgt.n_cells(d))]
-    for j, cell in enumerate(src.cells[d]):
-        for coeff, word, target in cmap.cell_images.get(cell, ()):
-            block = ev(word)
-            i0 = tgt_idx[target] * k
-            for a in range(k):
-                for b in range(k):
-                    v = block.rows[a][b]
-                    if not dom.is_zero(v):
-                        if coeff != 1:
-                            v = dom.mul(dom.of(coeff), v)
-                        mat[i0 + a][j * k + b] = dom.add(mat[i0 + a][j * k + b], v)
-    return Matrix(dom, mat, k * tgt.n_cells(d), k * src.n_cells(d))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,16 @@ shipped corpus.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import resources
 
 from .algebra import QQ, AlgebraError, Matrix, field_by_tag
 from .chain import ChainError, betti, euler_check, h0_vanishing_check, specialize
-from .groups import (GroupError, eval_word_perm, enumerate_quotients,
-                     make_representation, perm_from_cycles,
-                     permutation_representation, trivial_representation,
-                     FiniteQuotient, perm_group_order, _is_transitive)
+from .groups import (CohomologyClass, GroupError, enumerate_quotients,
+                     make_representation, permutation_quotient,
+                     permutation_representation, trivial_representation)
 from .scxio import ParseError, RepDocument, parse_rep, parse_scx, serialize_scx
-from .sutured import (CohomologyClass, PreconditionError, SuturedComplex,
+from .sutured import (PreconditionError, SuturedComplex,
                       complexity_lower_bound, certify_taut, double,
                       nonproduct_search, validate)
 
@@ -46,6 +44,14 @@ def bundled_names():
                   if p.name.endswith(".scx"))
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+
+
 def load_document(spec: str):
     if spec.startswith("bundled:"):
         name = spec.split(":", 1)[1]
@@ -55,18 +61,20 @@ def load_document(spec: str):
                              f" {', '.join(bundled_names())}")
         text = ref.read_text()
     else:
-        try:
-            with open(spec, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as e:
-            raise ParseError(f"cannot read {spec}: {e}") from e
+        text = _read_text(spec)
     return parse_scx(text)
 
 
 def resolve_representation(spec: str, pres, dom):
-    """--rep value: a file path, trivial:k, or perm:<degree>:<assignments>."""
+    """--rep value: a file path, trivial:k, or perm:<degree>:<assignments>.
+
+    A malformed inline spec is a usage error; a malformed file is bad data.
+    """
     if spec.startswith("trivial:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise UsageError("trivial spec is trivial:<k>") from None
         if k < 1:
             raise UsageError("trivial representation needs k >= 1")
         return trivial_representation(pres, k, dom)
@@ -77,33 +85,18 @@ def resolve_representation(spec: str, pres, dom):
             degree = int(degree_text)
         except ValueError:
             raise UsageError("perm spec is perm:<degree>:g=(..),h=(..)")
-        return _perm_rep_from_assignments(pres, degree, assigns, dom)
-    with open(spec, "r", encoding="utf-8") as handle:
-        doc = parse_rep(handle.read())
-    return representation_from_document(doc, pres, dom)
-
-
-def _perm_rep_from_assignments(pres, degree, assigns, dom):
-    images = {}
-    if assigns:
+        cycles = {}
         for part in _split_assignments(assigns):
             name, eq, value = part.partition("=")
             if not eq:
                 raise UsageError(f"bad permutation assignment {part!r}")
-            images[name.strip()] = perm_from_cycles(value.strip(), degree)
-    perms = tuple(images.get(g, tuple(range(degree))) for g in pres.gens)
-    if not _relators_pass(pres, perms, degree):
-        raise ParseError("permutations do not satisfy the relators")
-    q = FiniteQuotient(pres, degree, perms,
-                       _is_transitive(perms, degree) if perms else degree == 1,
-                       perm_group_order(list(perms)) if perms else 1)
-    return permutation_representation(q, dom)
-
-
-def _relators_pass(pres, perms, degree):
-    ident = tuple(range(degree))
-    return all(eval_word_perm(perms, r, degree) == ident
-               for r in pres.relators)
+            cycles[name.strip()] = value.strip()
+        try:
+            q = permutation_quotient(pres, degree, cycles)
+        except GroupError as e:
+            raise UsageError(str(e)) from e
+        return permutation_representation(q, dom)
+    return representation_from_document(parse_rep(_read_text(spec)), pres, dom)
 
 
 def _split_assignments(text):
@@ -129,25 +122,17 @@ def representation_from_document(doc: RepDocument, pres, default_dom):
     dom = field_by_tag(doc.field_tag) if doc.kind == "matrix" else default_dom
     if doc.kind == "trivial":
         return trivial_representation(pres, doc.dim, dom)
-    if doc.kind == "perm":
-        perms = []
-        for g in pres.gens:
-            text = doc.perms.get(g, "()")
-            perms.append(perm_from_cycles(text, doc.degree))
-        perms = tuple(perms)
-        if not _relators_pass(pres, perms, doc.degree):
-            raise ParseError("permutations do not satisfy the relators")
-        q = FiniteQuotient(pres, doc.degree, perms,
-                           _is_transitive(perms, doc.degree) if perms
-                           else doc.degree == 1,
-                           perm_group_order(list(perms)) if perms else 1)
-        return permutation_representation(q, dom)
-    mats = []
-    for g in pres.gens:
-        if g not in doc.matrices:
-            raise ParseError(f"matrix representation missing generator {g!r}")
-        mats.append(Matrix.from_rows(dom, doc.matrices[g]))
     try:
+        if doc.kind == "perm":
+            q = permutation_quotient(pres, doc.degree, doc.perms)
+            return permutation_representation(q, dom)
+        for name in doc.matrices:
+            pres.gen_index(name)
+        mats = []
+        for g in pres.gens:
+            if g not in doc.matrices:
+                raise ParseError(f"matrix representation missing generator {g!r}")
+            mats.append(Matrix.from_rows(dom, doc.matrices[g]))
         return make_representation(pres, mats, unitary=doc.unitary_assertion)
     except GroupError as e:
         raise ParseError(str(e)) from e
@@ -160,7 +145,10 @@ def resolve_phi(spec: str, doc):
             name, eq, val = part.partition("=")
             if not eq:
                 raise UsageError(f"bad phi assignment {part!r}")
-            values[name.strip()] = int(val)
+            try:
+                values[name.strip()] = int(val)
+            except ValueError:
+                raise UsageError(f"phi value {val!r} is not an integer") from None
         return CohomologyClass(values)
     if spec not in doc.phis:
         raise UsageError(f"no phi class named {spec!r} in the file;"
@@ -168,10 +156,12 @@ def resolve_phi(spec: str, doc):
     return CohomologyClass(doc.phis[spec])
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("SCX_THREADS", "1"))
+def _max_degree(text):
+    """argparse type of --max-degree, which enumerate_quotients needs >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +192,7 @@ def cmd_check(args):
             print(euler_check(cx, rminus, trivial))
             print(h0_vanishing_check(cx, rminus, trivial,
                                      manifold3=sc.manifold3))
-        except (ChainError, AssertionError) as e:
+        except ChainError as e:
             print(f"pair checks FAILED: {e}")
             failures += 1
     else:
@@ -236,8 +226,7 @@ def cmd_homology(args):
 def cmd_certify_taut(args):
     doc = load_document(args.file)
     sc = SuturedComplex(doc)
-    verdict = certify_taut(sc, max_degree=args.max_degree,
-                           threads=_threads(args))
+    verdict = certify_taut(sc, max_degree=args.max_degree)
     print(verdict.report())
     return EX_OK if verdict.status == "certified-taut" else EX_UNKNOWN
 
@@ -246,8 +235,7 @@ def cmd_nonproduct(args):
     doc = load_document(args.file)
     sc = SuturedComplex(doc)
     verdict = nonproduct_search(sc, max_degree=args.max_degree,
-                                regular_cap=args.max_regular_dim,
-                                threads=_threads(args))
+                                regular_cap=args.max_regular_dim)
     print(verdict.report())
     return EX_OK if verdict.status == "certified-not-product" else EX_UNKNOWN
 
@@ -328,14 +316,12 @@ def build_parser() -> _Parser:
 
     p = add("certify-taut", cmd_certify_taut,
             help="search for a vanishing certificate")
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--max-degree", type=_max_degree, default=4)
 
     p = add("nonproduct", cmd_nonproduct, help="search for a non-product"
             " certificate")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_max_degree, default=3)
     p.add_argument("--max-regular-dim", type=int, default=64)
-    p.add_argument("--threads", type=int, default=None)
 
     p = add("bounds", cmd_bounds, help="complexity lower bound")
     p.add_argument("--rep", default="trivial:1")
@@ -352,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--deg-only", action="store_true")
 
     p = add("quotients", cmd_quotients, help="list finite quotients")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_max_degree, default=4)
     p.add_argument("--transitive", action="store_true")
     return parser
 

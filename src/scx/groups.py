@@ -113,6 +113,23 @@ class GroupPresentation:
         return "*".join(parts)
 
 
+@dataclass(frozen=True)
+class CohomologyClass:
+    """Integer weight per generator name; must vanish on all relators."""
+
+    values: dict
+
+    def weight(self, pres: GroupPresentation, word) -> int:
+        total = 0
+        for k in word:
+            name = pres.gens[abs(k) - 1]
+            total += (1 if k > 0 else -1) * self.values.get(name, 0)
+        return total
+
+    def is_cocycle(self, pres: GroupPresentation) -> bool:
+        return all(self.weight(pres, r) == 0 for r in pres.relators)
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -153,7 +170,11 @@ def perm_cycles_str(a: tuple) -> str:
 
 
 def perm_from_cycles(text: str, n: int) -> tuple:
-    """Parse cycle notation like '(1 2)(3 4)' or '(1,2)'; 1-based."""
+    """Parse cycle notation like '(1 2)(3 4)' or '(1,2)'; 1-based.
+
+    Raises GroupError unless the text is a product of closed, disjoint cycles
+    of points in 1..n, so the result is always a bijection.
+    """
     img = list(range(n))
     text = text.strip()
     if text in ("()", "", "id"):
@@ -167,6 +188,8 @@ def perm_from_cycles(text: str, n: int) -> tuple:
                 raise GroupError("nested parenthesis in permutation")
             depth, cur = 1, []
         elif ch == ")":
+            if not depth:
+                raise GroupError(f"unopened parenthesis in {text!r}")
             depth = 0
             cycles.append(cur)
             cur = []
@@ -174,10 +197,19 @@ def perm_from_cycles(text: str, n: int) -> tuple:
             cur.append(ch)
         elif not ch.isspace():
             raise GroupError(f"bad permutation syntax {text!r}")
+    if depth:
+        raise GroupError(f"unclosed cycle in {text!r}")
+    used = set()
     for cyc in cycles:
-        pts = [int(t) - 1 for t in "".join(cyc).replace(",", " ").split()]
+        try:
+            pts = [int(t) - 1 for t in "".join(cyc).replace(",", " ").split()]
+        except ValueError:
+            raise GroupError(f"non-integer point in {text!r}") from None
         if any(not 0 <= p < n for p in pts) or len(set(pts)) != len(pts):
             raise GroupError(f"bad cycle in {text!r} for degree {n}")
+        if used & set(pts):
+            raise GroupError(f"cycles in {text!r} are not disjoint")
+        used.update(pts)
         for i, p in enumerate(pts):
             img[p] = pts[(i + 1) % len(pts)]
     return tuple(img)
@@ -191,11 +223,9 @@ def eval_word_perm(images, word, n) -> tuple:
     return out
 
 
-def perm_group_order(perms, cap=None) -> int:
-    """Order of the subgroup generated by the given permutations."""
-    if not perms:
-        return 1
-    n = len(perms[0])
+def _generated_subgroup(perms, n, cap=None) -> set:
+    """Elements of the subgroup of S_n generated by perms, by breadth-first
+    closure from the identity; SizeLimitError once more than cap are found."""
     seen = {perm_identity(n)}
     frontier = [perm_identity(n)]
     while frontier:
@@ -207,28 +237,22 @@ def perm_group_order(perms, cap=None) -> int:
                     seen.add(h)
                     nxt.append(h)
                     if cap is not None and len(seen) > cap:
-                        raise SizeLimitError(f"subgroup order exceeds cap {cap}")
+                        raise SizeLimitError(f"generated subgroup has more"
+                                             f" than {cap} elements")
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def perm_group_order(perms) -> int:
+    """Order of the subgroup generated by the given permutations."""
+    if not perms:
+        return 1
+    return len(_generated_subgroup(perms, len(perms[0])))
 
 
 def perm_group_elements(perms, n, cap=64) -> list:
     """Deterministically ordered element list of the generated subgroup."""
-    seen = {perm_identity(n)}
-    frontier = [perm_identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = perm_mul(p, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > cap:
-                        raise SizeLimitError(f"regular representation dimension"
-                                             f" would exceed {cap}")
-        frontier = nxt
-    return sorted(seen)
+    return sorted(_generated_subgroup(perms, n, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +317,27 @@ def _is_transitive(images, n) -> bool:
                         nxt.append(y)
         frontier = nxt
     return len(reach) == n
+
+
+def permutation_quotient(pres: GroupPresentation, degree: int,
+                         cycles: dict) -> FiniteQuotient:
+    """The quotient sending each generator to its image in S_degree.
+
+    `cycles` maps generator names to cycle notation; unnamed generators map
+    to the identity.  Raises GroupError for an unknown generator name, a
+    malformed cycle or images that fail a relator.
+    """
+    if degree < 1:
+        raise GroupError("permutation degree must be >= 1")
+    for name in cycles:
+        pres.gen_index(name)
+    perms = tuple(perm_from_cycles(cycles.get(g, "()"), degree)
+                  for g in pres.gens)
+    if not check_hom(pres, perms):
+        raise GroupError("permutations do not satisfy the relators")
+    return FiniteQuotient(pres, degree, perms,
+                          _is_transitive(perms, degree) if perms else degree == 1,
+                          perm_group_order(list(perms)))
 
 
 def enumerate_quotients(pres: GroupPresentation, max_degree: int,

@@ -262,7 +262,8 @@ def meridional_solidtorus() -> ScxDocument:
         cells.append((name, 2))
         boundaries[name] = tuple(terms)
     terms, closure = attach_terms(edges, [("m1", 1)])
-    assert closure == ()
+    if closure != ():
+        raise ChainError("disk D does not close")
     cells.append(("D", 2))
     boundaries["D"] = tuple(terms)
     cells.append(("B", 3))
@@ -361,7 +362,8 @@ def d3_two_sutures() -> ScxDocument:
             ("A", [("n1b", 1), ("c", 1), ("n2b", -1), ("c", -1)]),
             ("G2", [("n2a", 1), ("c2", 1), ("n2b", -1), ("c2", -1)])]:
         terms, closure = attach_terms(edges, steps)
-        assert closure == ()
+        if closure != ():
+            raise ChainError(f"2-cell {name} does not close")
         cells.append((name, 2))
         boundaries[name] = tuple(terms)
     chain = {((), "D1"): 1, ((), "G1"): -1, ((), "A"): -1, ((), "G2"): 1,

@@ -6,7 +6,7 @@ Grammar (one directive per line, `# ...` comments ignored):
     gen a b x ...
     rel <word>                      words like x*y^-1, the token 1 is identity
     cell <name> dim <0..3>
-    bnd <name> = <int>*<word>*<cell> [+ <int>*<word>*<cell> ...]
+    bnd <name> = [<int>*<word>*<cell> [+ <int>*<word>*<cell> ...]]
     sub <Name> = cell1 cell2 ...
     meta phi <name> <gen>=<int> ...
     meta <key> <value...>
@@ -67,7 +67,11 @@ class ScxDocument:
     def meta_int(self, key: str, default=None):
         if key not in self.metas:
             return default
-        return int(self.metas[key])
+        try:
+            return int(self.metas[key])
+        except ValueError:
+            raise ParseError(f"meta {key} must be an integer,"
+                             f" got {self.metas[key]!r}") from None
 
     def __eq__(self, other):
         if not isinstance(other, ScxDocument):
@@ -173,7 +177,7 @@ def parse_scx(text: str) -> ScxDocument:
         if name not in cellnames:
             raise ParseError(f"boundary for undeclared cell {name!r}", lineno)
         terms = []
-        for chunk in terms_text.split("+"):
+        for chunk in terms_text.split("+") if terms_text else ():
             chunk = chunk.strip()
             if not chunk:
                 raise ParseError("empty boundary term", lineno)
@@ -221,7 +225,7 @@ def serialize_scx(doc: ScxDocument) -> str:
         if name in doc.boundaries:
             terms = " + ".join(f"{c}*{pres.word_str(w)}*{t}"
                                for c, w, t in doc.boundaries[name])
-            lines.append(f"bnd {name} = {terms}")
+            lines.append(f"bnd {name} = {terms}".rstrip())
     for name, members in doc.subs.items():
         lines.append(f"sub {name} = " + " ".join(members))
     for key, value in doc.metas.items():
@@ -243,6 +247,16 @@ class RepDocument:
     perms: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)
     unitary_assertion: bool = False
+
+
+def _size(key, text, lineno) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer", lineno) from None
+    if value < 1:
+        raise ParseError(f"{key} must be >= 1", lineno)
+    return value
 
 
 def parse_rep(text: str) -> RepDocument:
@@ -270,9 +284,9 @@ def parse_rep(text: str) -> RepDocument:
             if kind not in ("trivial", "perm", "matrix"):
                 raise ParseError(f"unknown representation kind {kind!r}", lineno)
         elif key == "dim":
-            dim = int(rest)
+            dim = _size(key, rest, lineno)
         elif key == "degree":
-            degree = int(rest)
+            degree = _size(key, rest, lineno)
         elif key == "field":
             field_tag = rest.strip()
         elif key == "unitary":

@@ -11,13 +11,12 @@ where the subgroup-index argument lives.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import QQ
 from .chain import ChainError, SubcomplexRef, betti, specialize
-from .groups import (GroupPresentation, enumerate_quotients, eval_word_perm,
+from .groups import (CohomologyClass, enumerate_quotients, eval_word_perm,
                      perm_group_order, permutation_representation,
                      regular_representation, trivial_representation,
                      word_inv, word_mul, SizeLimitError)
@@ -55,23 +54,6 @@ class Verdict:
         for key, value in self.log.items():
             lines.append(f"search.{key}: {value}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Integer weight per generator name; must vanish on all relators."""
-
-    values: dict
-
-    def weight(self, pres: GroupPresentation, word) -> int:
-        total = 0
-        for k in word:
-            name = pres.gens[abs(k) - 1]
-            total += (1 if k > 0 else -1) * self.values.get(name, 0)
-        return total
-
-    def is_cocycle(self, pres: GroupPresentation) -> bool:
-        return all(self.weight(pres, r) == 0 for r in pres.relators)
 
 
 class SuturedComplex:
@@ -197,43 +179,10 @@ def validate(sc: SuturedComplex) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# search plumbing
-
-
-def _search_first(producer, evaluate, threads=1):
-    """First item (in stream order) whose evaluation is not None.
-
-    Evaluations may run concurrently, but selection is by stream position, so
-    the result is deterministic.  Returns (index, item, result, tested).
-    """
-    if threads <= 1:
-        count = 0
-        for item in producer:
-            count += 1
-            result = evaluate(item)
-            if result is not None:
-                return count - 1, item, result, count
-        return None, None, None, count
-    tested = 0
-    items = list(producer)
-    chunk = max(4 * threads, 8)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(items), chunk):
-            batch = items[start:start + chunk]
-            results = list(pool.map(evaluate, batch))
-            for off, result in enumerate(results):
-                tested += 1
-                if result is not None:
-                    return start + off, batch[off], result, tested
-    return None, None, None, len(items)
-
-
-# ---------------------------------------------------------------------------
 # tautness certificate
 
 
-def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ,
-                 threads: int = 1) -> Verdict:
+def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ) -> Verdict:
     """Search permutation representations for b1(M, R-) = 0.
 
     Preconditions (the criterion's hypotheses): balanced, irreducibility
@@ -257,7 +206,6 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ,
         raise PreconditionError("declared D3: excluded case, the criterion"
                                 " does not apply")
     rminus = sc.rminus()
-    tested = 0
 
     def try_rep(rep, label):
         bv = betti(specialize(sc.cx, rep, rminus))
@@ -269,21 +217,16 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ,
         return None
 
     trivial = trivial_representation(sc.cx.group, 1, dom)
-    tested += 1
     witness = try_rep(trivial, "trivial k=1")
     if witness is not None:
         return Verdict("certified-taut", witness,
                        {"degrees": "trivial only", "representations_tested": 1})
-
-    def evaluate(q):
-        return try_rep(permutation_representation(q, dom), q.describe())
-
-    idx, q, witness, consumed = _search_first(
-        enumerate_quotients(sc.cx.group, max_degree), evaluate, threads)
-    tested += consumed
-    log = {"degrees": f"2..{max_degree}", "representations_tested": tested}
-    if witness is not None:
-        return Verdict("certified-taut", witness, log)
+    log = {"degrees": f"2..{max_degree}", "representations_tested": 1}
+    for q in enumerate_quotients(sc.cx.group, max_degree):
+        log["representations_tested"] += 1
+        witness = try_rep(permutation_representation(q, dom), q.describe())
+        if witness is not None:
+            return Verdict("certified-taut", witness, log)
     return Verdict("unknown", None, log)
 
 
@@ -292,7 +235,7 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ,
 
 
 def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
-                      regular_cap: int = 64, threads: int = 1) -> Verdict:
+                      regular_cap: int = 64) -> Verdict:
     """Certify that the sutured complex is not a product.
 
     Two tests per quotient: the index test compares the order of the image of
@@ -341,11 +284,11 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
             return detail
         return None
 
-    idx, q, witness, consumed = _search_first(
-        enumerate_quotients(sc.cx.group, max_degree), evaluate, threads)
-    log["representations_tested"] = consumed
-    if witness is not None:
-        return Verdict("certified-not-product", witness, log)
+    for q in enumerate_quotients(sc.cx.group, max_degree):
+        log["representations_tested"] += 1
+        witness = evaluate(q)
+        if witness is not None:
+            return Verdict("certified-not-product", witness, log)
     return Verdict("unknown", None, log)
 
 

@@ -96,6 +96,13 @@ class TestBetti:
         hom = untwisted_homology(slope2.cx, slope2.rminus())
         assert hom[1] == (0, (2,))
 
+    def test_euler_identity_violation_raises(self):
+        from scx.algebra import Matrix
+        from scx.chain import TwistedComplex
+        tc = TwistedComplex(QQ, 1, {0: ("v",)}, {0: Matrix.identity(QQ, 1)})
+        with pytest.raises(ChainError):
+            betti(tc)
+
     def test_cell_order_invariance(self, t1):
         rng = random.Random(2)
         doc = load_document("bundled:product_T1")
@@ -237,8 +244,24 @@ class TestInducedMap:
         assert m.m == 1 and m.n == 1
         assert m.rows[0][0] == 2
 
+    def test_cell_map_into_missing_cell(self, t1):
+        from scx.chain import CellMap
+        cx = t1.cx
+        images = {c: ((1, (), c),) for c in cx.all_cells()}
+        images[cx.cells[0][0]] = ((1, (), "nowhere"),)
+        cmap = CellMap(cx, cx, tuple((i,) for i in range(1, cx.group.ngens + 1)),
+                       images)
+        with pytest.raises(ChainError):
+            induced_map(cx, cmap, triv(cx), 1)
+
 
 class TestComponentsAndPi1:
+    def test_skeleton_connected(self, t1):
+        from scx.chain import EquivariantComplex
+        pres = t1.cx.group
+        assert t1.cx.skeleton_connected()
+        assert not EquivariantComplex(pres, {0: ["v", "w"]}, {}).skeleton_connected()
+        assert not EquivariantComplex(pres, {}, {}).skeleton_connected()
     def test_rminus_components(self, meridional):
         comps = meridional.cx.components(meridional.sub_cells("R-"))
         assert len(comps) == 1

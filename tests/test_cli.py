@@ -83,10 +83,17 @@ class TestHomology:
 
     def test_bad_rep_rejected(self, capsys, tmp_path):
         doc = tmp_path / "rep.txt"
-        doc.write_text("rep 1\nkind perm\ndegree 2\ngen x = (1 2)\n")
-        code, _, err = run(capsys, "homology", "bundled:trefoil",
-                           "--rel", "", "--rep", str(doc))
-        assert code == EX_DATA
+        for body in ("kind perm\ndegree 2\ngen x = (1 2)\n",  # relator fails
+                     "kind perm\ndegree 3\ngen x = (1 2)(1 3)\n",
+                     "kind perm\ndegree 3\ngen x = (1 2\n",
+                     "kind perm\ndegree 3\ngen = (1 2)\n",
+                     "kind perm\ndegree 3\ngen zz = (1 2)\n",
+                     "kind matrix\ndim 1\ngen x = abc\ngen y = 1\n"):
+            doc.write_text("rep 1\n" + body)
+            code, _, err = run(capsys, "homology", "bundled:trefoil",
+                               "--rel", "", "--rep", str(doc))
+            assert code == EX_DATA, body
+            assert err.startswith("error:"), body
 
 
 class TestVerdictCommands:
@@ -174,13 +181,33 @@ class TestUsageAndErrors:
         code, _, err = run(capsys, "check", "bundled:nothing")
         assert code == EX_USAGE and "available" in err
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "check", "/no/such/file.scx")
-        assert code == EX_DATA
+    def test_missing_file(self, capsys, tmp_path):
+        from scx.cli import load_document
+        from scx.scxio import serialize_scx
+        doc = load_document("bundled:product_T1")
+        doc.metas["sutures"] = "two"
+        bad_meta = tmp_path / "sutures.scx"
+        bad_meta.write_text(serialize_scx(doc))
+        for argv in (["check", "/no/such/file.scx"],
+                     ["homology", "bundled:product_T1", "--rep", "/missing"],
+                     ["check", str(bad_meta)]):
+            code, _, err = run(capsys, *argv)
+            assert code == EX_DATA, argv
+            assert err.startswith("error:"), argv
 
     def test_usage_error_code(self, capsys):
-        code, _, err = run(capsys, "homology")
-        assert code == EX_USAGE
+        for argv in (["homology"],
+                     ["homology", "bundled:product_T1", "--rep", "trivial:abc"],
+                     ["homology", "bundled:product_T1",
+                      "--rep", "perm:3:a=(1 2)(1 3)"],
+                     ["homology", "bundled:product_T1", "--rep", "perm:3:a=(1 2"],
+                     ["homology", "bundled:product_T1", "--rep", "perm:3:zz=(1 2)"],
+                     ["alex", "bundled:trefoil", "--phi", "inline:x=q"],
+                     ["nonproduct", "bundled:product_T1", "--max-degree", "-1"],
+                     ["quotients", "bundled:product_T1", "--max-degree", "-1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == EX_USAGE, argv
+            assert err.startswith("usage error:"), argv
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -188,9 +215,3 @@ class TestUsageAndErrors:
              "--rel", "R-"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "b = (0, 0, 0, 0)" in proc.stdout
-
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCX_THREADS", "2")
-        code, out, _ = run(capsys, "certify-taut", "bundled:product_T1",
-                           "--max-degree", "2")
-        assert code == EX_OK

@@ -7,7 +7,7 @@ from scx.groups import (GroupError, GroupPresentation, SizeLimitError,
                         check_hom, dagger, enumerate_quotients, eval_word,
                         eval_word_perm, make_representation, perm_from_cycles,
                         perm_cycles_str, perm_group_order,
-                        permutation_representation, regular_representation,
+                        permutation_quotient, permutation_representation, regular_representation,
                         trivial_representation, word_inv, word_mul)
 
 FREE1 = GroupPresentation(("x",), ())
@@ -94,6 +94,23 @@ class TestEnumerateQuotients:
         trans = list(enumerate_quotients(FREE1, 3, transitive_only=True))
         assert {q.images for q in trans} == \
             {q.images for q in all_qs if q.transitive}
+
+    def test_permutation_quotient_matches_enumeration(self):
+        pres = trefoil_pres()
+        for q in enumerate_quotients(pres, 3):
+            cycles = {g: perm_cycles_str(p) for g, p in zip(pres.gens, q.images)}
+            assert permutation_quotient(pres, q.degree, cycles) == q
+
+    @pytest.mark.parametrize("degree, cycles", [
+        (3, {"z": "(1 2)"}),                  # unknown generator
+        (3, {"": "(1 2)"}),                   # no generator named
+        (3, {"x": "(1 2)"}),                  # fails the trefoil relator
+        (3, {"x": "(1 2)(1 3)"}),             # not a bijection
+        (0, {}),
+    ])
+    def test_permutation_quotient_rejects(self, degree, cycles):
+        with pytest.raises(GroupError):
+            permutation_quotient(trefoil_pres(), degree, cycles)
 
 
 class TestRepresentations:
@@ -201,6 +218,12 @@ class TestPermUtilities:
 
     def test_identity_str(self):
         assert perm_cycles_str((0, 1, 2)) == "()"
+
+    @pytest.mark.parametrize("text", ["(1 2)(1 3)", "(1 2", "1 2)", ")(1 2)",
+                                      "(1 (2))", "(a b)", "(1 4)", "(1 1)"])
+    def test_malformed_cycles_rejected(self, text):
+        with pytest.raises(GroupError):
+            perm_from_cycles(text, 3)
 
     def test_group_order(self):
         a = perm_from_cycles("(1 2)", 3)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scx.models import BUILDERS
 from scx.scxio import ParseError, parse_rep, parse_scx, serialize_scx
@@ -128,6 +129,63 @@ class TestRepFormat:
         with pytest.raises(ParseError):
             parse_rep("rep 1\nkind nonsense\n")
 
+    @pytest.mark.parametrize("line", ["dim x", "dim", "degree 1.5", "dim 0"])
+    def test_bad_size(self, line):
+        with pytest.raises(ParseError):
+            parse_rep(f"rep 1\nkind matrix\n{line}\n")
+
     def test_matrix_shape_error(self):
         with pytest.raises(ParseError):
             parse_rep("rep 1\nkind matrix\ndim 2\ngen x = 1 1 1 ; 0 1 0\n")
+
+
+# Text built from the formats' own tokens reaches deep into both parsers;
+# plain random text mostly exercises the header check.
+SCX_TOKENS = ["scx", "1", "gen", "rel", "cell", "dim", "bnd", "sub", "meta",
+              "phi", "sutures", "=", "+", "*", "#", "x", "y", "x^-1", "x^",
+              "^", "p", "e", "0", "2", "-1", "x=1", "x=y", "1*x*p", "-1*1*p",
+              "1**p", "a*b*", "R-"]
+REP_TOKENS = ["rep", "1", "kind", "trivial", "perm", "matrix", "dim", "degree",
+              "field", "q", "f2", "unitary", "gen", "x", "=", ";", "#",
+              "(1 2)", "(1", "0", "2", "-1", "1/2", "abc"]
+
+
+def _texts(tokens, header):
+    line = st.lists(st.sampled_from(tokens) | st.text(max_size=3),
+                    max_size=6).map(" ".join)
+    body = st.lists(line, max_size=10).map("\n".join)
+    return st.text(max_size=40) | body.map(lambda b: header + "\n" + b)
+
+
+FUZZ = settings(max_examples=200, deadline=None, database=None)
+
+
+class TestFuzz:
+    @FUZZ
+    @given(_texts(SCX_TOKENS, "scx 1"))
+    def test_parse_scx_total(self, text):
+        try:
+            parse_scx(text)
+        except ParseError:
+            pass
+
+    @FUZZ
+    @given(_texts(REP_TOKENS, "rep 1"))
+    def test_parse_rep_total(self, text):
+        try:
+            parse_rep(text)
+        except ParseError:
+            pass
+
+    @FUZZ
+    @given(st.integers(0, 2**32), st.integers(1, 5),
+           st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    def test_round_trip(self, seed, sutures, weights):
+        doc = random_presentation_doc(random.Random(seed))
+        doc.metas["sutures"] = str(sutures)
+        doc.phis["w"] = dict(zip(doc.gens, weights))
+        doc.subs["R-"] = ("v",)
+        text = serialize_scx(doc)
+        again = parse_scx(text)
+        assert again == doc
+        assert serialize_scx(again) == text

@@ -75,11 +75,6 @@ class TestCertifyTaut:
         assert verdict.status == "certified-taut"
         assert verdict.witness["representation"] == "trivial k=1"
 
-    def test_threads_deterministic(self, sutured):
-        a = certify_taut(sutured["product_T1"], 3, threads=1)
-        b = certify_taut(sutured["product_T1"], 3, threads=2)
-        assert a.witness == b.witness
-
     def test_unknown_on_exhaustion(self):
         doc = load_document("bundled:meridional_solidtorus")
         doc.metas["excluded_s1xd2"] = "0"    # lie about the shape
