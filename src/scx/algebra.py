@@ -602,7 +602,56 @@ def solve(mat: Matrix, target: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# integer Smith normal form
+# Euclidean diagonalization over Z and F[t^±1]
+
+
+def _euclid_diagonal(a, size, neg_quo, addmul):
+    """Diagonal of the grid `a` (a list of row lists, changed in place).
+
+    Each step takes the nonzero entry of least `size` (None marks zero) as
+    the pivot and clears its row and column with Euclidean steps
+    x -> addmul(x, q, y) = x + q*y, where q = neg_quo(x, pivot) is minus the
+    Euclidean quotient, so that the remainder is smaller than the pivot; a
+    nonzero remainder becomes the new pivot.  Row and column operations are
+    invertible, so the nonzero entries of the diagonal multiply to the
+    product of the elementary divisors up to a unit; they are not put into a
+    divisibility chain.
+    """
+    m, n = len(a), len(a[0]) if a else 0
+    for k in range(min(m, n)):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                s = size(a[i][j])
+                if s is not None and (best is None or s < best[0]):
+                    best = (s, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        a[k], a[pi] = a[pi], a[k]
+        for row in a:
+            row[k], row[pj] = row[pj], row[k]
+        while True:
+            dirty = False
+            for i in range(m):
+                if i != k and size(a[i][k]) is not None:
+                    q = neg_quo(a[i][k], a[k][k])
+                    a[i] = [addmul(x, q, y) for x, y in zip(a[i], a[k])]
+                    if size(a[i][k]) is not None:
+                        a[k], a[i] = a[i], a[k]
+                        dirty = True
+            for j in range(n):
+                if j != k and size(a[k][j]) is not None:
+                    q = neg_quo(a[k][j], a[k][k])
+                    for row in a:
+                        row[j] = addmul(row[j], q, row[k])
+                    if size(a[k][j]) is not None:
+                        for row in a:
+                            row[k], row[j] = row[j], row[k]
+                        dirty = True
+            if not dirty:
+                break
+    return [a[i][i] for i in range(min(m, n))]
 
 
 def snf_integers(rows) -> tuple:
@@ -627,47 +676,10 @@ def snf_integers(rows) -> tuple:
             grid.append(line)
     else:
         grid = [[int(x) for x in r] for r in rows]
-    m = len(grid)
-    n = len(grid[0]) if m else 0
-    diag = []
-    k = 0
-    while k < min(m, n):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if grid[i][j] != 0 and (pivot is None or
-                                        abs(grid[i][j]) < abs(grid[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        grid[k], grid[pi] = grid[pi], grid[k]
-        for row in grid:
-            row[k], row[pj] = row[pj], row[k]
-        while True:
-            dirty = False
-            for i in range(m):
-                if i != k and grid[i][k] != 0:
-                    q = grid[i][k] // grid[k][k]
-                    for j in range(n):
-                        grid[i][j] -= q * grid[k][j]
-                    if grid[i][k] != 0:
-                        grid[k], grid[i] = grid[i], grid[k]
-                        dirty = True
-            for j in range(n):
-                if j != k and grid[k][j] != 0:
-                    q = grid[k][j] // grid[k][k]
-                    for i in range(m):
-                        grid[i][j] -= q * grid[i][k]
-                    if grid[k][j] != 0:
-                        for row in grid:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-            if not dirty:
-                break
-        diag.append(abs(grid[k][k]))
-        k += 1
-    diag += [0] * (min(m, n) - len(diag))
+    diag = [abs(x) for x in _euclid_diagonal(
+        grid, lambda x: abs(x) if x else None,
+        lambda x, p: -(x // p),
+        lambda x, q, y: x + q * y)]
     # enforce d1 | d2 | ...
     changed = True
     while changed:
@@ -732,99 +744,35 @@ def det_poly(mat: Matrix) -> LaurentPoly:
     return ring.shift(det, -total_shift)
 
 
-def diagonalize_laurent(mat: Matrix):
-    """(diag, U, V, Vinv) with U*mat*V diagonal over F[t^±1].
+def diagonalize_laurent(mat: Matrix) -> list:
+    """Diagonal entries of a Euclidean diagonalization of mat over F[t^±1].
 
-    The diagonal is not put into a divisibility chain: downstream uses only
-    need the zero positions and the product of the nonzero entries.
+    Only the diagonal is computed, no transform matrices, and it is not put
+    into a divisibility chain: the nonzero entries count the rank over F(t)
+    and multiply to the product of the elementary divisors up to a unit
+    c*t^n.  Entries may have negative exponents; the Euclidean size is the
+    degree span.
     """
     ring = mat.dom
-    m, n = mat.m, mat.n
-    a = [r[:] for r in mat.rows]
-    U = Matrix.identity(ring, m).rows
-    V = Matrix.identity(ring, n).rows
-    Vinv = Matrix.identity(ring, n).rows
-
-    def span(p):
-        return p.degree_span()
-
-    def col_swap(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in V:
-            row[j1], row[j2] = row[j2], row[j1]
-        Vinv[j1], Vinv[j2] = Vinv[j2], Vinv[j1]
-
-    def col_addmul(jdst, jsrc, q):
-        for row in a:
-            row[jdst] = ring.add(row[jdst], ring.mul(q, row[jsrc]))
-        for row in V:
-            row[jdst] = ring.add(row[jdst], ring.mul(q, row[jsrc]))
-        Vinv[jsrc] = [ring.sub(Vinv[jsrc][l], ring.mul(q, Vinv[jdst][l]))
-                      for l in range(n)]
-
-    def col_shift(j, s):
-        for row in a:
-            row[j] = ring.shift(row[j], s)
-        for row in V:
-            row[j] = ring.shift(row[j], s)
-        Vinv[j] = [ring.shift(p, -s) for p in Vinv[j]]
-
-    def row_swap(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-
-    def row_addmul(idst, isrc, q):
-        a[idst] = [ring.add(a[idst][j], ring.mul(q, a[isrc][j])) for j in range(n)]
-        U[idst] = [ring.add(U[idst][j], ring.mul(q, U[isrc][j])) for j in range(m)]
-
-    for j in range(n):
-        lows = [a[i][j].low for i in range(m) if not a[i][j].is_zero()]
-        if lows and min(lows) < 0:
-            col_shift(j, -min(lows))
-    k = 0
-    while k < min(m, n):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if not a[i][j].is_zero():
-                    if best is None or span(a[i][j]) < span(a[best[0]][best[1]]):
-                        best = (i, j)
-        if best is None:
-            break
-        row_swap(k, best[0])
-        col_swap(k, best[1])
-        while True:
-            dirty = False
-            for i in range(m):
-                if i != k and not a[i][k].is_zero():
-                    q, _ = ring.divmod_shifted(a[i][k], a[k][k])
-                    row_addmul(i, k, ring.neg(q))
-                    if not a[i][k].is_zero():
-                        row_swap(k, i)
-                        dirty = True
-            for j in range(n):
-                if j != k and not a[k][j].is_zero():
-                    q, _ = ring.divmod_shifted(a[k][j], a[k][k])
-                    col_addmul(j, k, ring.neg(q))
-                    if not a[k][j].is_zero():
-                        col_swap(k, j)
-                        dirty = True
-            if not dirty:
-                break
-        k += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    return (diag, Matrix(ring, U, m, m), Matrix(ring, V, n, n),
-            Matrix(ring, Vinv, n, n))
+    if not isinstance(ring, LaurentRing):
+        raise AlgebraError("diagonalize_laurent expects Laurent entries")
+    return _euclid_diagonal(
+        [r[:] for r in mat.rows], LaurentPoly.degree_span,
+        lambda x, p: ring.neg(ring.divmod_shifted(x, p)[0]),
+        lambda x, q, y: ring.add(x, ring.mul(q, y)))
 
 
 def pid_homology_order(d_in: Matrix, d_out: Matrix) -> LaurentPoly:
-    """Order of ker(d_out)/im(d_in) as an F[t^±1]-module.
+    """Order of H = ker(d_out)/im(d_in) as an F[t^±1]-module.
 
     d_in maps C_{i+1} -> C_i and d_out maps C_i -> C_{i-1}; the composition
-    must vanish.  Returns 0 when the module has positive rank, otherwise the
-    product of the elementary divisors, canonicalized to lowest exponent 0
-    and monic leading coefficient.
+    must vanish.  F[t^±1] is a PID and C_i / ker(d_out) embeds in the free
+    module C_{i-1}, so it is free and ker(d_out) is a direct summand of C_i.
+    Hence coker(d_in) = H ⊕ (a free module), the torsion of H is the torsion
+    of coker(d_in), and its order is the product of the nonzero diagonal
+    entries of d_in.  H has rank rank C_i - rank d_in - rank d_out, read off
+    the two diagonals.  Returns 0 when that rank is positive, otherwise the
+    order canonicalized to lowest exponent 0 and monic leading coefficient.
     """
     ring = d_in.dom
     if not isinstance(ring, LaurentRing):
@@ -833,25 +781,11 @@ def pid_homology_order(d_in: Matrix, d_out: Matrix) -> LaurentPoly:
         raise AlgebraError("boundary shapes do not compose")
     if d_out.m and d_in.n and not (d_out * d_in).is_zero_matrix():
         raise AlgebraError("d_out o d_in is nonzero")
-    n_mid = d_in.m
-    if n_mid == 0:
-        return ring.one
-    diag, _, _, Vinv = diagonalize_laurent(d_out)
-    rank_out = sum(1 for p in diag if not p.is_zero())
-    kernel_idx = [j for j in range(n_mid)
-                  if j >= len(diag) or diag[j].is_zero()]
-    # reorder so nonzero-diagonal positions come first
-    nz_idx = [j for j in range(len(diag)) if not diag[j].is_zero()]
-    y = Vinv * d_in if d_in.n else Matrix.zeros(ring, n_mid, 0)
-    for i in nz_idx:
-        if any(not p.is_zero() for p in y.rows[i]):
-            raise AlgebraError("image does not lie in the kernel")
-    ysub = y.row_subset(kernel_idx)
-    ediag, *_ = diagonalize_laurent(ysub)
-    nonzero = [p for p in ediag if not p.is_zero()]
-    if len(nonzero) < n_mid - rank_out:
+    divisors = [p for p in diagonalize_laurent(d_in) if not p.is_zero()]
+    rank_out = sum(1 for p in diagonalize_laurent(d_out) if not p.is_zero())
+    if len(divisors) + rank_out < d_in.m:
         return ring.zero
     prod = ring.one
-    for p in nonzero:
+    for p in divisors:
         prod = ring.mul(prod, p)
     return ring.unit_canonical(prod)

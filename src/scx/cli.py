@@ -88,9 +88,12 @@ def resolve_representation(spec: str, pres, dom):
         cycles = {}
         for part in _split_assignments(assigns):
             name, eq, value = part.partition("=")
+            name = name.strip()
             if not eq:
                 raise UsageError(f"bad permutation assignment {part!r}")
-            cycles[name.strip()] = value.strip()
+            if name in cycles:
+                raise UsageError(f"generator {name!r} assigned twice")
+            cycles[name] = value.strip()
         try:
             q = permutation_quotient(pres, degree, cycles)
         except GroupError as e:
@@ -139,21 +142,46 @@ def representation_from_document(doc: RepDocument, pres, default_dom):
 
 
 def resolve_phi(spec: str, doc):
+    """--phi value: a class declared in the file, or inline:g=1,h=0.
+
+    An inline class names each generator of the file at most once.  The
+    class must vanish on the relators; an inline class that does not is a
+    usage error, a declared one is bad data.
+    """
     if spec.startswith("inline:"):
         values = {}
         for part in spec.split(":", 1)[1].split(","):
             name, eq, val = part.partition("=")
+            name = name.strip()
             if not eq:
                 raise UsageError(f"bad phi assignment {part!r}")
+            if name not in doc.gens:
+                raise UsageError(f"phi names unknown generator {name!r}")
+            if name in values:
+                raise UsageError(f"phi assigns {name!r} twice")
             try:
-                values[name.strip()] = int(val)
+                values[name] = int(val)
             except ValueError:
                 raise UsageError(f"phi value {val!r} is not an integer") from None
-        return CohomologyClass(values)
-    if spec not in doc.phis:
+        error = UsageError
+    elif spec in doc.phis:
+        values = doc.phis[spec]
+        error = ParseError
+    else:
         raise UsageError(f"no phi class named {spec!r} in the file;"
                          f" declared: {', '.join(doc.phis) or 'none'}")
-    return CohomologyClass(doc.phis[spec])
+    phi = CohomologyClass(values)
+    if not phi.is_cocycle(doc.presentation()):
+        raise error(f"phi {spec!r} does not vanish on the relators")
+    return phi
+
+
+def _field(text):
+    """argparse type of --field: q, f2, f3, f5, ..."""
+    try:
+        return field_by_tag(text)
+    except AlgebraError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _max_degree(text):
@@ -209,12 +237,13 @@ def cmd_check(args):
 def cmd_homology(args):
     doc = load_document(args.file)
     cx = doc.complex()
-    dom = field_by_tag(args.field)
-    rep = resolve_representation(args.rep, cx.group, dom)
+    rep = resolve_representation(args.rep, cx.group, args.field)
     rel = None
     if args.rel:
-        sc = SuturedComplex(doc)
-        rel = sc.ref(args.rel)
+        if args.rel not in doc.subs:
+            raise UsageError(f"no subcomplex named {args.rel!r} in the file;"
+                             f" declared: {', '.join(doc.subs) or 'none'}")
+        rel = SuturedComplex(doc).ref(args.rel)
     bv = betti(specialize(cx, rep, rel))
     pair = f"(M, {args.rel})" if args.rel else "M"
     print(f"pair: {pair}")
@@ -243,8 +272,7 @@ def cmd_nonproduct(args):
 def cmd_bounds(args):
     doc = load_document(args.file)
     sc = SuturedComplex(doc)
-    dom = field_by_tag(args.field)
-    rep = resolve_representation(args.rep, sc.cx.group, dom)
+    rep = resolve_representation(args.rep, sc.cx.group, args.field)
     print(complexity_lower_bound(sc, rep))
     return EX_OK
 
@@ -268,8 +296,7 @@ def cmd_alex(args):
     from .alex import thurston_bound
     doc = load_document(args.file)
     cx = doc.complex()
-    dom = field_by_tag(args.field)
-    rep = resolve_representation(args.rep, cx.group, dom)
+    rep = resolve_representation(args.rep, cx.group, args.field)
     phi = resolve_phi(args.phi, doc)
     report = thurston_bound(cx, phi, rep)
     for order in report.orders:
@@ -312,7 +339,8 @@ def build_parser() -> _Parser:
     p = add("homology", cmd_homology, help="twisted Betti numbers")
     p.add_argument("--rel", default=None, help="subcomplex name, e.g. R-")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", default="q", help="q, f2, f3, f5, ...")
+    p.add_argument("--field", type=_field, default="q",
+                   help="q, f2, f3, f5, ...")
 
     p = add("certify-taut", cmd_certify_taut,
             help="search for a vanishing certificate")
@@ -325,7 +353,7 @@ def build_parser() -> _Parser:
 
     p = add("bounds", cmd_bounds, help="complexity lower bound")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", default="q")
+    p.add_argument("--field", type=_field, default="q")
 
     p = add("double", cmd_double, help="double along R- and R+")
     p.add_argument("-o", "--output", required=True)
@@ -334,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi", required=True,
                    help="class name from the file or inline:g=1,h=0")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", default="q")
+    p.add_argument("--field", type=_field, default="q")
     p.add_argument("--deg-only", action="store_true")
 
     p = add("quotients", cmd_quotients, help="list finite quotients")

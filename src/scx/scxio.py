@@ -90,6 +90,7 @@ def parse_scx(text: str) -> ScxDocument:
     cellnames: set = set()
     bnd_texts: list = []
     sub_texts: list = []
+    phi_lines: dict = {}
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -149,12 +150,16 @@ def parse_scx(text: str) -> ScxDocument:
                     if not eq:
                         raise ParseError(f"bad phi assignment {assign!r}",
                                          lineno, raw.find(assign) + 1)
+                    if gname in values:
+                        raise ParseError(f"phi assigns {gname!r} twice",
+                                         lineno, raw.find(assign) + 1)
                     try:
                         values[gname] = int(val)
                     except ValueError:
                         raise ParseError(f"phi value {val!r} is not an integer",
                                          lineno, raw.find(val) + 1) from None
                 doc.phis[tokens[2]] = values
+                phi_lines[tokens[2]] = lineno
             else:
                 doc.metas[tokens[1]] = " ".join(tokens[2:])
         else:
@@ -162,6 +167,11 @@ def parse_scx(text: str) -> ScxDocument:
     if not saw_header:
         raise ParseError("empty or truncated document: no 'scx' header", 1)
     doc.gens = tuple(gens)
+    for name, values in doc.phis.items():
+        for gname in values:
+            if gname not in gens:
+                raise ParseError(f"phi {name!r} names undeclared generator"
+                                 f" {gname!r}", phi_lines[name])
     pres = GroupPresentation(doc.gens, ())
     relators = []
     for wtext, lineno in relator_texts:
@@ -295,7 +305,10 @@ def parse_rep(text: str) -> RepDocument:
             name, eq, value = rest.partition("=")
             if not eq:
                 raise ParseError("expected 'gen <name> = ...'", lineno)
-            pending[name.strip()] = (value.strip(), lineno)
+            name = name.strip()
+            if name in pending:
+                raise ParseError(f"generator {name!r} assigned twice", lineno)
+            pending[name] = (value.strip(), lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
     if kind is None:

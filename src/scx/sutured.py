@@ -245,6 +245,8 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
     test computes b1 under the regular representation.  Disconnected R-
     short-circuits through untwisted homology.
     """
+    if "R-" not in sc.doc.subs:
+        raise PreconditionError("no R- subcomplex declared")
     rminus = sc.rminus()
     comps = sc.cx.components(sc.sub_cells("R-"))
     log = {"degrees": f"2..{max_degree}", "representations_tested": 0}

@@ -1,11 +1,13 @@
 """Twisted orders, norm bounds and the determinant-form cross-check, verified
 against the standalone Fox-calculus oracle."""
 
+import itertools
 import random
 
 import pytest
 
 import fox_oracle
+from conftest import random_presentation_doc
 from scx.algebra import GF, QQ, LaurentRing, Matrix, poly_to_str
 from scx.alex import (AlexError, det_form_check, detab_property,
                       thurston_bound, twisted_alexander)
@@ -24,8 +26,21 @@ def _oracle_polys(doc):
     return fox_oracle.alexander_polys(len(doc.gens), relators, phi)
 
 
+def _random_cocycle_doc(rng):
+    """A random presentation complex with a phi in {-2..2}^g that vanishes
+    on its relators, nonzero where one exists, stored as the class "ab"."""
+    doc = random_presentation_doc(rng)
+    pres = doc.presentation()
+    cocycles = [dict(zip(doc.gens, w))
+                for w in itertools.product(range(-2, 3), repeat=len(doc.gens))]
+    cocycles = [w for w in cocycles if CohomologyClass(w).is_cocycle(pres)]
+    nonzero = [w for w in cocycles if any(w.values())]
+    doc.phis["ab"] = rng.choice(nonzero or cocycles)
+    return doc
+
+
 def _same_up_to_reversal(poly, oracle_dict):
-    mine = {e + poly.low: c for e, c in enumerate(poly.coeffs)}
+    mine = {e + poly.low: c for e, c in enumerate(poly.coeffs) if c}
     forward = fox_oracle.pcanon(mine)
     return forward == fox_oracle.pcanon(oracle_dict) or \
         fox_oracle.preverse(forward) == fox_oracle.pcanon(oracle_dict)
@@ -46,16 +61,22 @@ class TestTwistedAlexander:
         assert d1.poly_str() == delta1 and d1.deg == 2
         assert d2.poly_str() == "1" and d2.deg == 0
 
-    @pytest.mark.parametrize("name", ["trefoil", "figure8"])
+    @pytest.mark.parametrize("name", ["trefoil", "figure8", "random"])
     def test_against_fox_oracle(self, name):
-        doc = load_document(f"bundled:{name}")
-        cx = doc.complex()
-        phi = CohomologyClass(doc.phis["ab"])
-        rep = trivial_representation(cx.group, 1, QQ)
-        oracle = _oracle_polys(doc)
-        for i in range(3):
-            mine = twisted_alexander(cx, phi, rep, i)
-            assert _same_up_to_reversal(mine.poly, oracle[i]), (name, i)
+        if name == "random":
+            rng = random.Random(2010)
+            docs = [_random_cocycle_doc(rng) for _ in range(50)]
+        else:
+            docs = [load_document(f"bundled:{name}")]
+        for doc in docs:
+            cx = doc.complex()
+            phi = CohomologyClass(doc.phis["ab"])
+            rep = trivial_representation(cx.group, 1, QQ)
+            oracle = _oracle_polys(doc)
+            for i in range(3):
+                mine = twisted_alexander(cx, phi, rep, i)
+                assert _same_up_to_reversal(mine.poly, oracle[i]), \
+                    (doc.relators, doc.phis, i)
 
     def test_circle(self):
         doc = presentation_complex(("x",), [], phi={"x": 1})

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import fox_oracle
 from scx.algebra import (GF, QQ, AlgebraError, LaurentRing, Matrix, det_poly,
                          diagonalize_laurent, field_by_tag, inverse,
                          kernel_basis, pid_homology_order, poly_from_str,
@@ -183,23 +184,38 @@ def _laplace(m):
     return total
 
 
+def _as_dict(p):
+    return {p.low + e: c for e, c in enumerate(p.coeffs) if c}
+
+
 class TestDiagonalizeLaurent:
-    def test_transforms(self):
+    def test_against_oracle(self):
         rng = random.Random(13)
         for _ in range(15):
             m_, n_ = rng.randint(1, 3), rng.randint(1, 3)
             a = lmat([[(rng.randint(-1, 1),
                         tuple(rng.randint(-2, 2) for _ in range(2)))
                        for _ in range(n_)] for _ in range(m_)])
-            diag, U, V, Vinv = diagonalize_laurent(a)
-            prod = U * a * V
-            for i in range(m_):
-                for j in range(n_):
-                    if i == j:
-                        assert R.eq(prod.rows[i][j], diag[i])
-                    else:
-                        assert prod.rows[i][j].is_zero()
-            assert V * Vinv == Matrix.identity(R, n_)
+            nonzero = [p for p in diagonalize_laurent(a) if not p.is_zero()]
+            oracle = [d for d in fox_oracle.smith_diagonal(
+                [[_as_dict(p) for p in row] for row in a.rows]) if d]
+            assert len(nonzero) == len(oracle)
+            prod = R.one
+            for p in nonzero:
+                prod = R.mul(prod, p)
+            oracle_prod = fox_oracle.pmono(1)
+            for d in oracle:
+                oracle_prod = fox_oracle.pmul(oracle_prod, d)
+            assert fox_oracle.pcanon(_as_dict(prod)) == \
+                fox_oracle.pcanon(oracle_prod)
+            if m_ == n_:
+                det = R.unit_canonical(det_poly(a))
+                assert R.eq(det, R.unit_canonical(prod)
+                            if len(nonzero) == n_ else R.zero)
+
+    def test_rejects_non_laurent(self):
+        with pytest.raises(AlgebraError):
+            diagonalize_laurent(mat([[1]]))
 
 
 class TestPidHomologyOrder:

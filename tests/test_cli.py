@@ -128,6 +128,10 @@ class TestVerdictCommands:
                            "--max-degree", "2")
         assert code == EX_UNKNOWN
 
+    def test_nonproduct_refusal(self, capsys):
+        code, _, err = run(capsys, "nonproduct", "bundled:trefoil")
+        assert code == EX_FAIL and err.startswith("refused:") and "R-" in err
+
 
 class TestOtherCommands:
     def test_bounds(self, capsys):
@@ -188,9 +192,25 @@ class TestUsageAndErrors:
         doc.metas["sutures"] = "two"
         bad_meta = tmp_path / "sutures.scx"
         bad_meta.write_text(serialize_scx(doc))
+        trefoil = load_document("bundled:trefoil")
+        bad_phis = []
+        for k, line in enumerate(("meta phi ab x=1 x=2", "meta phi ab z=1",
+                                  "meta phi ab x=1 y=0")):
+            path = tmp_path / f"phi{k}.scx"
+            path.write_text(serialize_scx(trefoil).replace(
+                "meta phi ab x=1 y=1", line))
+            bad_phis.append(["alex", str(path), "--phi", "ab"])
+        bad_reps = []
+        for k, body in enumerate(("kind perm\ndegree 3\n"
+                                  "gen x = (1 2 3)\ngen x = (1 3 2)\n",
+                                  "kind matrix\nfield f4\ndim 1\n"
+                                  "gen x = 1\ngen y = 1\n")):
+            path = tmp_path / f"rep{k}.txt"
+            path.write_text("rep 1\n" + body)
+            bad_reps.append(["homology", "bundled:trefoil", "--rep", str(path)])
         for argv in (["check", "/no/such/file.scx"],
                      ["homology", "bundled:product_T1", "--rep", "/missing"],
-                     ["check", str(bad_meta)]):
+                     ["check", str(bad_meta)], *bad_phis, *bad_reps):
             code, _, err = run(capsys, *argv)
             assert code == EX_DATA, argv
             assert err.startswith("error:"), argv
@@ -202,12 +222,24 @@ class TestUsageAndErrors:
                       "--rep", "perm:3:a=(1 2)(1 3)"],
                      ["homology", "bundled:product_T1", "--rep", "perm:3:a=(1 2"],
                      ["homology", "bundled:product_T1", "--rep", "perm:3:zz=(1 2)"],
+                     ["homology", "bundled:product_T1",
+                      "--rep", "perm:3:a=(1 2),a=(1 3)"],
+                     ["homology", "bundled:product_T1", "--rel", "R9"],
                      ["alex", "bundled:trefoil", "--phi", "inline:x=q"],
+                     ["alex", "bundled:trefoil", "--phi", "inline:x=1,y=0"],
+                     ["alex", "bundled:trefoil", "--phi", "inline:z=1"],
+                     ["alex", "bundled:trefoil", "--phi", "inline:x=1,x=0,y=1"],
+                     ["homology", "bundled:product_T1", "--field", "f4"],
+                     ["bounds", "bundled:product_T1", "--field", "fx"],
+                     ["alex", "bundled:trefoil", "--phi", "ab", "--field", "f4"],
                      ["nonproduct", "bundled:product_T1", "--max-degree", "-1"],
                      ["quotients", "bundled:product_T1", "--max-degree", "-1"]):
             code, _, err = run(capsys, *argv)
             assert code == EX_USAGE, argv
             assert err.startswith("usage error:"), argv
+        code, _, err = run(capsys, "homology", "bundled:product_T1",
+                           "--rel", "R9")
+        assert "declared: R-, R+" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(
