@@ -7,8 +7,8 @@ complexes under representations of finite quotients, entirely over Q, prime
 fields and Laurent polynomial rings.
 """
 
-from .algebra import (GF, QQ, LaurentPoly, LaurentRing, Matrix, det_poly,
-                      kernel_basis, pid_homology_order, rank, snf_integers)
+from .algebra import (GF, QQ, LaurentPoly, LaurentRing, Matrix, kernel_basis,
+                      pid_homology_order, rank, snf_integers)
 from .chain import (BettiVector, CellMap, EquivariantComplex, SubcomplexRef,
                     TwistedComplex, betti, duality_check, euler_check,
                     h0_vanishing_check, induced_map, les_check, specialize,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LaurentPoly, LaurentRing, Matrix, det_poly,
-                      pid_homology_order, poly_to_str)
+from .algebra import (LaurentPoly, LaurentRing, Matrix, pid_homology_order,
+                      poly_to_str)
 from .chain import CellMap, betti, induced_map, specialize
 from .groups import (CohomologyClass, Representation, eval_word,
                      make_representation)
@@ -123,10 +123,21 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
     """Cross-check: det of (left - t*right) on H_i against the twisted order.
 
     `cut` carries the complex cut open along R- ("xminus"), the two inclusion
-    cell maps ("iota_l", "iota_r") of the R- complex, and the generator words
-    ("x_in_w") embedding the cut piece's group into the glued group.  The
-    formula needs b_i of the two sides to agree; that is checked first.
+    cell maps ("iota_l", "iota_r") of the R- complex, the generator words
+    ("x_in_w") embedding the cut piece's group into the glued group, and the
+    stable letter ("stable") along which the two sides are glued.
+
+    The formula has two hypotheses, checked in this order.  rho must fix the
+    stable letter: under t^phi * rho the gluing map is t * right followed by
+    rho(stable) on the coefficients, and the formula leaves rho(stable) out.
+    And b_i of the two sides must agree, so that the pencil is square.  The
+    determinant is taken up to a unit, as the order of the cokernel of the
+    pencil over the PID F[t^±1].
     """
+    if eval_word(rep_w, cut["stable"]) != Matrix.identity(rep_w.dom, rep_w.dim):
+        return DetFormReport(False, None, None, None, None,
+                             LaurentRing(rep_w.dom),
+                             "rho moves the stable letter")
     xminus = cut["xminus"]
     iota_l: CellMap = cut["iota_l"]
     iota_r: CellMap = cut["iota_r"]
@@ -149,8 +160,8 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
     rows = [[ring.add(ring.monomial(m_l.rows[a][b], 0),
                       ring.monomial(rep_x.dom.neg(m_r.rows[a][b]), 1))
              for b in range(m_l.n)] for a in range(m_l.m)]
-    det = det_poly(Matrix(ring, rows, m_l.m, m_l.n))
-    det = ring.unit_canonical(det)
+    det = pid_homology_order(Matrix(ring, rows, m_l.m, m_l.n),
+                             Matrix.zeros(ring, 0, m_l.m))
     order = twisted_alexander(w_cx, phi, rep_w, i)
     rev = _substitute_inverse(ring, order.poly)
     match = ring.eq(det, order.poly)
@@ -187,7 +198,11 @@ class DetabReport:
 
 
 def detab_property(a: Matrix, b: Matrix) -> DetabReport:
-    """deg det(A + tB) = s iff both A and B are nonsingular."""
+    """deg det(A + tB) = s iff both A and B are nonsingular.
+
+    det(A + tB) is read up to a unit, which keeps its degree span, as the
+    order of the cokernel of the pencil over the PID F[t^±1].
+    """
     from .algebra import rank
     if a.m != a.n or b.m != b.n or a.m != b.m:
         raise AlexError("detab_property needs equal square matrices")
@@ -196,5 +211,5 @@ def detab_property(a: Matrix, b: Matrix) -> DetabReport:
     rows = [[ring.add(ring.monomial(a.rows[i][j], 0),
                       ring.monomial(b.rows[i][j], 1))
              for j in range(s)] for i in range(s)]
-    det = det_poly(Matrix(ring, rows, s, s))
+    det = pid_homology_order(Matrix(ring, rows, s, s), Matrix.zeros(ring, 0, s))
     return DetabReport(s, det.degree_span(), rank(a) == s, rank(b) == s)

@@ -306,12 +306,6 @@ class LaurentRing:
             r = self.sub(r, self.mul(mono, b))
         return q, r
 
-    def exact_div(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        q, r = self.divmod_shifted(a, b)
-        if not r.is_zero():
-            raise AlgebraError("inexact polynomial division")
-        return q
-
     def unit_canonical(self, a: LaurentPoly) -> LaurentPoly:
         """Normalize up to units c*t^n: lowest exponent 0 and monic top."""
         if a.is_zero():
@@ -697,51 +691,7 @@ def snf_integers(rows) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomial matrices: determinant and diagonalization
-
-
-def det_poly(mat: Matrix) -> LaurentPoly:
-    """Exact determinant of a square matrix over F[t^±1].
-
-    Fraction-free Bareiss after clearing the negative exponents row by row;
-    the cleared powers are restored at the end.  The 0x0 determinant is 1.
-    """
-    ring = mat.dom
-    if not isinstance(ring, LaurentRing):
-        raise AlgebraError("det_poly expects Laurent entries")
-    if mat.m != mat.n:
-        raise AlgebraError("determinant of non-square matrix")
-    n = mat.n
-    if n == 0:
-        return ring.one
-    rows = [r[:] for r in mat.rows]
-    total_shift = 0
-    for i in range(n):
-        lows = [p.low for p in rows[i] if not p.is_zero()]
-        if lows and min(lows) < 0:
-            s = -min(lows)
-            rows[i] = [ring.shift(p, s) for p in rows[i]]
-            total_shift += s
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero()), None)
-            if swap is None:
-                return ring.zero
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(ring.mul(rows[k][k], rows[i][j]),
-                               ring.mul(rows[i][k], rows[k][j]))
-                rows[i][j] = ring.exact_div(num, prev)
-            rows[i][k] = ring.zero
-        prev = rows[k][k]
-    det = rows[n - 1][n - 1]
-    if sign < 0:
-        det = ring.neg(det)
-    return ring.shift(det, -total_shift)
+# Laurent polynomial matrices: diagonalization and module orders
 
 
 def diagonalize_laurent(mat: Matrix) -> list:

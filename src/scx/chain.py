@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Matrix, kernel_basis, rank, solve
-from .groups import (GroupPresentation, Representation, eval_word, word_inv,
-                     word_mul, word_exponent_vector)
+from .algebra import QQ, Matrix, kernel_basis, rank, snf_integers, solve
+from .groups import (GroupPresentation, Representation, eval_word,
+                     trivial_representation, word_inv, word_mul,
+                     word_exponent_vector)
 
 
 class ChainError(Exception):
@@ -323,7 +324,7 @@ class _RepEvaluator:
 
 
 def specialize(cx: EquivariantComplex, rep: Representation,
-               rel=None, check=True) -> TwistedComplex:
+               rel=None) -> TwistedComplex:
     """Twisted (relative) chain complex of (cx, rel) under rep.
 
     Rows and columns of cells inside `rel` are deleted; each boundary term
@@ -340,12 +341,11 @@ def specialize(cx: EquivariantComplex, rep: Representation,
             for d in range(1, MAX_DIM + 1)}
     tc = TwistedComplex(rep.dom, rep.dim, cells, mats,
                         label=rel.name if rel else "")
-    if check:
-        for d in range(2, MAX_DIM + 1):
-            prod = tc.boundary_matrix(d - 1) * tc.boundary_matrix(d)
-            if not prod.is_zero_matrix():
-                raise SpecializeError(f"d^2 != 0 under {rep.describe()} at"
-                                      f" degree {d}: ill-formed input data")
+    for d in range(2, MAX_DIM + 1):
+        prod = tc.boundary_matrix(d - 1) * tc.boundary_matrix(d)
+        if not prod.is_zero_matrix():
+            raise SpecializeError(f"d^2 != 0 under {rep.describe()} at"
+                                  f" degree {d}: ill-formed input data")
     return tc
 
 
@@ -469,29 +469,26 @@ def les_check(cx, rel, rep) -> CheckReport:
     quo = specialize(cx, rep, rel)
     bY, bX, bXY = betti(sub), betti(full), betti(quo)
     k = rep.dim
-    y_cols = _embedding_positions(cx, rel, k)
+    inside = {d: _positions(cx.cells[d], rel.cells, k)
+              for d in range(MAX_DIM + 1)}
+    outside = {d: _positions(cx.cells[d], set(cx.cells[d]) - rel.cells, k)
+               for d in range(MAX_DIM + 1)}
     incl_rank = {}
     j_rank = {}
-    conn_rank = {}
+    conn_rank = {0: 0, MAX_DIM + 1: 0}
     for d in range(MAX_DIM + 1):
-        ZY = kernel_basis(sub.boundary_matrix(d))
-        ZX = kernel_basis(full.boundary_matrix(d))
-        BX = full.boundary_matrix(d + 1)
-        BXY = quo.boundary_matrix(d + 1)
-        BY = sub.boundary_matrix(d + 1)
-        embedded = _embed_columns(ZY, y_cols[d], full.k * full.n_cells(d))
-        incl_rank[d] = _rank_mod(embedded, BX)
-        projected = _project_rows(ZX, y_cols[d], full.k * full.n_cells(d))
-        j_rank[d] = _rank_mod(projected, BXY)
-        Krel = kernel_basis(quo.boundary_matrix(d))
-        lifted = _embed_columns(Krel, _complement(y_cols[d], full.k * full.n_cells(d)),
-                                full.k * full.n_cells(d))
-        dK = full.boundary_matrix(d) * lifted if d >= 1 else \
-            Matrix.zeros(full.dom, 0, lifted.n)
-        restricted = dK.row_subset(y_cols[d - 1]) if d >= 1 else \
-            Matrix.zeros(full.dom, 0, lifted.n)
-        conn_rank[d] = _rank_mod(restricted, sub.boundary_matrix(d)) if d >= 1 else 0
-    conn_rank[MAX_DIM + 1] = 0
+        embedded = _embedding_matrix(full.dom, inside[d],
+                                     full.k * full.n_cells(d)) * \
+            kernel_basis(sub.boundary_matrix(d))
+        incl_rank[d] = _rank_mod(embedded, full.boundary_matrix(d + 1))
+        projected = kernel_basis(full.boundary_matrix(d)).row_subset(outside[d])
+        j_rank[d] = _rank_mod(projected, quo.boundary_matrix(d + 1))
+        if d >= 1:
+            # a relative cycle lifted by zeros on rel has its boundary in rel;
+            # the rows of that boundary inside rel are the connecting map
+            connecting = full.boundary_matrix(d).row_subset(inside[d - 1]) \
+                .columns(outside[d]) * kernel_basis(quo.boundary_matrix(d))
+            conn_rank[d] = _rank_mod(connecting, sub.boundary_matrix(d))
     node_ok = True
     for d in range(MAX_DIM + 1):
         node_ok &= bY[d] == incl_rank[d] + conn_rank[d + 1]
@@ -528,29 +525,6 @@ def _positions(all_cells, keep, k):
     return out
 
 
-def _embedding_positions(cx, rel, k):
-    return {d: _positions(cx.cells[d], [c for c in cx.cells[d] if c in rel.cells], k)
-            for d in range(MAX_DIM + 1)}
-
-
-def _complement(positions, total):
-    inside = set(positions)
-    return [i for i in range(total) if i not in inside]
-
-
-def _embed_columns(mat: Matrix, positions, total) -> Matrix:
-    dom = mat.dom
-    rows = [[dom.zero] * mat.n for _ in range(total)]
-    for r, pos in enumerate(positions):
-        rows[pos] = mat.rows[r][:]
-    return Matrix(dom, rows, total, mat.n)
-
-
-def _project_rows(mat: Matrix, positions, total) -> Matrix:
-    keep = [i for i in range(total) if i not in set(positions)]
-    return mat.row_subset(keep)
-
-
 def _rank_mod(span: Matrix, modulo: Matrix) -> int:
     """dim of (span + im(modulo)) / im(modulo)."""
     if span.n == 0:
@@ -572,13 +546,6 @@ class CellMap:
     target: EquivariantComplex
     gen_words: tuple
     cell_images: dict
-
-    def map_word(self, word) -> tuple:
-        out = ()
-        for kk in word:
-            w = self.gen_words[abs(kk) - 1]
-            out = word_mul(out, w if kk > 0 else word_inv(w))
-        return out
 
 
 def pullback_representation(cmap: CellMap, rep: Representation) -> Representation:
@@ -623,7 +590,7 @@ def induced_map(cx, source, rep, degree) -> Matrix:
     full = specialize(cx, rep, None)
     if isinstance(source, SubcomplexRef):
         sub = _restrict(cx, full, source)
-        positions = _embedding_positions(cx, source, rep.dim)[degree]
+        positions = _positions(cx.cells[degree], source.cells, rep.dim)
         T = _embedding_matrix(full.dom, positions, full.k * full.n_cells(degree))
         src = sub
     elif isinstance(source, CellMap):
@@ -661,39 +628,16 @@ def _embedding_matrix(dom, positions, total) -> Matrix:
 # untwisted integer homology (sanity oracle)
 
 
-def integer_boundary_matrix(cx, d, rel=None):
-    """Integer boundary matrix of the (relative) complex, words sent to 1."""
-    excluded = _cellset(rel)
-    rows_cells = [c for c in cx.cells[d - 1] if c not in excluded]
-    cols_cells = [c for c in cx.cells[d] if c not in excluded]
-    idx = {c: i for i, c in enumerate(rows_cells)}
-    mat = [[0] * len(cols_cells) for _ in range(len(rows_cells))]
-    for j, cell in enumerate(cols_cells):
-        for coeff, word, target in cx.boundary[cell]:
-            if target not in excluded:
-                mat[idx[target]][j] += coeff
-    return mat
-
-
 def untwisted_homology(cx, rel=None) -> list:
-    """[(free rank, torsion divisors)] for degrees 0..3 over Z."""
-    from .algebra import QQ, snf_integers
-    out = []
-    excluded = _cellset(rel)
-    counts = [sum(1 for c in cx.cells[d] if c not in excluded)
-              for d in range(MAX_DIM + 1)]
-    mats = {d: integer_boundary_matrix(cx, d, rel) for d in range(1, MAX_DIM + 1)}
+    """[(free rank, torsion divisors)] for degrees 0..3 over Z.
 
-    def matrank(d):
-        if not (1 <= d <= MAX_DIM) or counts[d] == 0 or counts[d - 1] == 0:
-            return 0
-        return rank(Matrix.from_rows(QQ, mats[d]))
-
-    for d in range(MAX_DIM + 1):
-        free = counts[d] - matrank(d) - matrank(d + 1)
-        torsion = ()
-        if d < MAX_DIM and counts[d + 1] and counts[d]:
-            divisors = snf_integers(mats[d + 1])
-            torsion = tuple(x for x in divisors if x not in (0, 1))
-        out.append((free, torsion))
-    return out
+    Under the trivial representation over Q the boundary matrices are the
+    integer ones.  One Smith diagonal per boundary map gives its rank (the
+    nonzero entries) and the torsion it creates (the entries other than 0, 1).
+    """
+    tc = specialize(cx, trivial_representation(cx.group, 1, QQ), rel)
+    diags = {d: snf_integers(tc.boundary_matrix(d)) for d in range(MAX_DIM + 2)}
+    ranks = {d: sum(1 for x in diag if x) for d, diag in diags.items()}
+    return [(tc.n_cells(d) - ranks[d] - ranks[d + 1],
+             tuple(x for x in diags[d + 1] if x not in (0, 1)))
+            for d in range(MAX_DIM + 1)]

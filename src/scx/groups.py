@@ -411,8 +411,8 @@ class Representation:
         return f"{self.provenance} k={self.dim} over {self.dom.name}"
 
 
-def make_representation(pres, mats, provenance="user-supplied", unitary=False,
-                        check=True) -> Representation:
+def make_representation(pres, mats, provenance="user-supplied",
+                        unitary=False) -> Representation:
     if len(mats) != pres.ngens:
         raise GroupError("one matrix required per generator")
     dim = mats[0].m if mats else 1
@@ -425,7 +425,7 @@ def make_representation(pres, mats, provenance="user-supplied", unitary=False,
     except AlgebraError as e:
         raise GroupError(f"generator matrix not invertible: {e}") from e
     rep = Representation(pres, dim, dom, tuple(mats), invs, provenance, unitary)
-    if check and not check_hom(pres, list(mats)):
+    if not check_hom(pres, list(mats)):
         raise GroupError("matrices do not satisfy the relators")
     return rep
 

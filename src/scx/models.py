@@ -67,11 +67,6 @@ def loop_chain(word, edge_of_gen):
     return list(reversed(terms))
 
 
-def edge_table(doc: ScxDocument):
-    cx = doc.complex()
-    return {name: cx.edge_ends(name) for name, dim in doc.cells if dim == 1}
-
-
 # -- formal chains over the group ring (free/trivial groups only) ------------
 
 
@@ -453,8 +448,9 @@ def trefoil_fibered() -> ScxDocument:
 
 
 def fibered_cut():
-    """Cut data for the fibered model: the fiber, X- = fiber x I, and the two
-    inclusions (the right one twisted by the monodromy)."""
+    """Cut data for the fibered model: the fiber, X- = fiber x I, the two
+    inclusions (the right one twisted by the monodromy) and the stable
+    letter t of the glued group, as a word."""
     from .chain import CellMap
     fiber = ScxDocument(
         gens=("a", "b"), cells=(("v", 0), ("a", 1), ("b", 1)),
@@ -476,7 +472,7 @@ def fibered_cut():
                      "b": tuple(loop_chain(mono[2], top_edges))})
     return {"w_doc": trefoil_fibered(), "fiber": fcx, "xminus": xcx,
             "iota_l": iota_l, "iota_r": iota_r,
-            "x_in_w": ((1,), (2,))}
+            "x_in_w": ((1,), (2,)), "stable": (3,)}
 
 
 BUILDERS = {

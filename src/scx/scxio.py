@@ -11,6 +11,9 @@ Grammar (one directive per line, `# ...` comments ignored):
     meta phi <name> <gen>=<int> ...
     meta <key> <value...>
 
+A cell has at most one `bnd` line, and a subcomplex, phi class or meta key is
+given once: a repeat is a ParseError, not a silent override.
+
 Documents round-trip: parse(serialize(doc)) == doc, and serialize emits a
 canonical ordering.  Boundary terms are kept exactly as written (including
 formally canceling pairs) since they carry incidence data.
@@ -88,8 +91,8 @@ def parse_scx(text: str) -> ScxDocument:
     relator_texts: list = []
     cells: list = []
     cellnames: set = set()
-    bnd_texts: list = []
-    sub_texts: list = []
+    bnd_texts: dict = {}
+    sub_texts: dict = {}
     phi_lines: dict = {}
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -133,17 +136,24 @@ def parse_scx(text: str) -> ScxDocument:
         elif kind == "bnd":
             if len(tokens) < 3 or tokens[2] != "=":
                 raise ParseError("expected 'bnd <name> = <terms>'", lineno)
-            bnd_texts.append((tokens[1], " ".join(tokens[3:]), lineno))
+            if tokens[1] in bnd_texts:
+                raise ParseError(f"second boundary for {tokens[1]!r}", lineno)
+            bnd_texts[tokens[1]] = (" ".join(tokens[3:]), lineno)
         elif kind == "sub":
             if len(tokens) < 3 or tokens[2] != "=":
                 raise ParseError("expected 'sub <name> = cells...'", lineno)
-            sub_texts.append((tokens[1], tuple(tokens[3:]), lineno))
+            if tokens[1] in sub_texts:
+                raise ParseError(f"subcomplex {tokens[1]!r} declared twice",
+                                 lineno)
+            sub_texts[tokens[1]] = (tuple(tokens[3:]), lineno)
         elif kind == "meta":
             if len(tokens) < 2:
                 raise ParseError("meta needs a key", lineno)
             if tokens[1] == "phi":
                 if len(tokens) < 3:
                     raise ParseError("meta phi needs a class name", lineno)
+                if tokens[2] in doc.phis:
+                    raise ParseError(f"phi {tokens[2]!r} given twice", lineno)
                 values = {}
                 for assign in tokens[3:]:
                     gname, eq, val = assign.partition("=")
@@ -161,6 +171,8 @@ def parse_scx(text: str) -> ScxDocument:
                 doc.phis[tokens[2]] = values
                 phi_lines[tokens[2]] = lineno
             else:
+                if tokens[1] in doc.metas:
+                    raise ParseError(f"meta {tokens[1]!r} given twice", lineno)
                 doc.metas[tokens[1]] = " ".join(tokens[2:])
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, 1)
@@ -183,7 +195,7 @@ def parse_scx(text: str) -> ScxDocument:
     pres = doc.presentation()
     doc.cells = tuple(cells)
     dims = dict(cells)
-    for name, terms_text, lineno in bnd_texts:
+    for name, (terms_text, lineno) in bnd_texts.items():
         if name not in cellnames:
             raise ParseError(f"boundary for undeclared cell {name!r}", lineno)
         terms = []
@@ -213,7 +225,7 @@ def parse_scx(text: str) -> ScxDocument:
                 raise ParseError(f"bad boundary word: {e}", lineno) from None
             terms.append((coeff, word, target))
         doc.boundaries[name] = tuple(terms)
-    for name, members, lineno in sub_texts:
+    for name, (members, lineno) in sub_texts.items():
         for c in members:
             if c not in cellnames:
                 raise ParseError(f"subcomplex {name!r} lists undeclared cell"

@@ -182,8 +182,8 @@ def validate(sc: SuturedComplex) -> ValidationReport:
 # tautness certificate
 
 
-def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ) -> Verdict:
-    """Search permutation representations for b1(M, R-) = 0.
+def certify_taut(sc: SuturedComplex, max_degree: int = 4) -> Verdict:
+    """Search permutation representations over Q for b1(M, R-) = 0.
 
     Preconditions (the criterion's hypotheses): balanced, irreducibility
     asserted, excluded shapes not declared.  On success the witness carries
@@ -216,7 +216,7 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ) -> Verdict:
                     "unitary": rep.unitary, "assumptions": sc.assumptions()}
         return None
 
-    trivial = trivial_representation(sc.cx.group, 1, dom)
+    trivial = trivial_representation(sc.cx.group, 1, QQ)
     witness = try_rep(trivial, "trivial k=1")
     if witness is not None:
         return Verdict("certified-taut", witness,
@@ -224,7 +224,7 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4, dom=QQ) -> Verdict:
     log = {"degrees": f"2..{max_degree}", "representations_tested": 1}
     for q in enumerate_quotients(sc.cx.group, max_degree):
         log["representations_tested"] += 1
-        witness = try_rep(permutation_representation(q, dom), q.describe())
+        witness = try_rep(permutation_representation(q), q.describe())
         if witness is not None:
             return Verdict("certified-taut", witness, log)
     return Verdict("unknown", None, log)

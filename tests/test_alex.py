@@ -13,7 +13,8 @@ from scx.alex import (AlexError, det_form_check, detab_property,
                       thurston_bound, twisted_alexander)
 from scx.cli import load_document
 from scx.groups import (enumerate_quotients, make_representation,
-                        permutation_representation, trivial_representation)
+                        permutation_quotient, permutation_representation,
+                        trivial_representation)
 from scx.models import fibered_cut, presentation_complex
 from scx.sutured import CohomologyClass
 
@@ -120,7 +121,7 @@ class TestTwistedAlexander:
         p = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
         from scx.algebra import inverse
         conj = make_representation(
-            cx.group, [p * m * inverse(p) for m in rep.mats], check=True)
+            cx.group, [p * m * inverse(p) for m in rep.mats])
         a = twisted_alexander(cx, phi, rep, 1)
         b = twisted_alexander(cx, phi, conj, 1)
         ring = LaurentRing(QQ)
@@ -188,6 +189,20 @@ class TestDetForm:
         r2 = det_form_check(w_cx, phi, rep, cut, 2)
         assert r2.applicable and (r2.match or r2.reversed_match)
         assert poly_to_str(r2.ring, r2.det_side) == "1"
+
+    def test_stable_letter_moved_inapplicable(self):
+        # the twisted order is det(1 - t * M (x) rho(t)) = 1 + t^2 + t^4 for
+        # the monodromy M; det(left - t*right) leaves rho(t) out
+        cut = fibered_cut()
+        w_cx = cut["w_doc"].complex()
+        phi = CohomologyClass(cut["w_doc"].phis["dual"])
+        rep = permutation_representation(
+            permutation_quotient(w_cx.group, 2, {"t": "(1 2)"}))
+        report = det_form_check(w_cx, phi, rep, cut, 1)
+        assert not report.applicable
+        assert "stable letter" in report.detail
+        order = twisted_alexander(w_cx, phi, rep, 1)
+        assert order.poly_str() == "1 + t^2 + t^4"
 
     def test_monodromy_action(self):
         from scx.chain import induced_map

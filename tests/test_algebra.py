@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import fox_oracle
-from scx.algebra import (GF, QQ, AlgebraError, LaurentRing, Matrix, det_poly,
+from scx.algebra import (GF, QQ, AlgebraError, LaurentRing, Matrix,
                          diagonalize_laurent, field_by_tag, inverse,
                          kernel_basis, pid_homology_order, poly_from_str,
                          poly_to_str, rank, snf_integers, solve)
@@ -138,26 +138,32 @@ class TestLaurent:
             field_by_tag("f4")
 
 
+def _det(m):
+    """det m up to a unit: the order of the cokernel of a square m."""
+    return pid_homology_order(m, Matrix.zeros(R, 0, m.n))
+
+
 class TestDetPoly:
     def test_one_by_one(self):
-        d = det_poly(lmat([[(0, (-1, 1))]]))
+        d = _det(lmat([[(0, (-1, 1))]]))
         assert poly_to_str(R, d) == "-1 + t"
 
     def test_identity_minus_t(self):
         m = lmat([[(0, (1, -1)), 0], [0, (0, (1, -1))]])
-        d = det_poly(m)
+        d = _det(m)
         assert poly_to_str(R, d) == "1 - 2*t + t^2"
         assert d.degree_span() == 2
 
     def test_singular_a(self):
-        # A = diag(1,0), B = I: det(A + tB) = t(1+t), degree 1 < 2
+        # A = diag(1,0), B = I: det(A + tB) = t(1+t) = 1 + t up to a unit,
+        # degree 1 < 2
         m = lmat([[(0, (1, 1)), 0], [0, (1, (1,))]])
-        d = det_poly(m)
-        assert poly_to_str(R, d) == "t + t^2"
+        d = _det(m)
+        assert poly_to_str(R, d) == "1 + t"
         assert d.degree_span() == 1
 
     def test_empty(self):
-        assert R.eq(det_poly(Matrix.zeros(R, 0, 0)), R.one)
+        assert R.eq(_det(Matrix.zeros(R, 0, 0)), R.one)
 
     def test_vs_expansion(self):
         rng = random.Random(7)
@@ -166,8 +172,7 @@ class TestDetPoly:
             m = lmat([[(rng.randint(-1, 1),
                         tuple(rng.randint(-2, 2) for _ in range(2)))
                        for _ in range(n)] for _ in range(n)])
-            d = det_poly(m)
-            assert R.eq(d, _laplace(m))
+            assert R.eq(_det(m), R.unit_canonical(_laplace(m)))
 
 
 def _laplace(m):
@@ -209,7 +214,7 @@ class TestDiagonalizeLaurent:
             assert fox_oracle.pcanon(_as_dict(prod)) == \
                 fox_oracle.pcanon(oracle_prod)
             if m_ == n_:
-                det = R.unit_canonical(det_poly(a))
+                det = R.unit_canonical(_laplace(a))
                 assert R.eq(det, R.unit_canonical(prod)
                             if len(nonzero) == n_ else R.zero)
 

@@ -208,9 +208,20 @@ class TestUsageAndErrors:
             path = tmp_path / f"rep{k}.txt"
             path.write_text("rep 1\n" + body)
             bad_reps.append(["homology", "bundled:trefoil", "--rep", str(path)])
+        repeats = []
+        for k, (name, line) in enumerate((
+                ("product_T1", "bnd am = 1*a*vm + -1*1*vm"),
+                ("product_T1", "sub R- = vm"),
+                ("product_T1", "meta name other"),
+                ("trefoil", "meta phi ab x=1 y=1"))):
+            path = tmp_path / f"repeat{k}.scx"
+            path.write_text(serialize_scx(load_document(f"bundled:{name}"))
+                            + line + "\n")
+            repeats.append(["check", str(path)])
         for argv in (["check", "/no/such/file.scx"],
                      ["homology", "bundled:product_T1", "--rep", "/missing"],
-                     ["check", str(bad_meta)], *bad_phis, *bad_reps):
+                     ["check", str(bad_meta)], *bad_phis, *bad_reps,
+                     *repeats):
             code, _, err = run(capsys, *argv)
             assert code == EX_DATA, argv
             assert err.startswith("error:"), argv

@@ -92,6 +92,17 @@ class TestBundledShape:
             first = text.splitlines()[0]
             assert first.startswith(f"# {name}:") and len(first) > 15
 
+    def test_corpus_regenerates(self, tmp_path):
+        from importlib import resources
+
+        from scx.models import write_bundled
+        write_bundled(tmp_path)
+        shipped = {f.name: f.read_bytes()
+                   for f in resources.files("scx.data").iterdir()
+                   if f.name.endswith(".scx")}
+        written = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert written == shipped
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(BUILDERS))
