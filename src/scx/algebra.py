@@ -6,13 +6,18 @@ floating point anywhere: rationals are `fractions.Fraction`, F_p elements are
 canonical ints in [0, p), and Laurent polynomials are coefficient tuples with
 an explicit lowest exponent.  Matrix entries are opaque to `Matrix` itself and
 are interpreted through the matrix's domain object.
+
+`rank` over Q first eliminates modulo the prime 2^31 - 1 and trusts that
+result only when it is full (min of the two dimensions), which a nonzero
+minor proves; every other rank over Q is the pivot count of the exact
+`Fraction` RREF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class AlgebraError(Exception):
@@ -46,13 +51,9 @@ class RationalField:
                 raise AlgebraError(f"{x!r} is not a rational number") from None
         raise AlgebraError(f"cannot coerce {x!r} into Q")
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # Fraction is immutable, so every caller can share these two
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -75,7 +76,7 @@ class RationalField:
         return a / b
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def eq(self, a, b):
         return a == b
@@ -431,18 +432,16 @@ class Matrix:
         if self.n != other.m:
             raise AlgebraError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
         d = self.dom
-        out = [[d.zero] * other.n for _ in range(self.m)]
-        for i in range(self.m):
-            ri = self.rows[i]
-            for k in range(self.n):
-                a = ri[k]
-                if d.is_zero(a):
-                    continue
-                rk = other.rows[k]
-                oi = out[i]
-                for j in range(other.n):
-                    if not d.is_zero(rk[j]):
-                        oi[j] = d.add(oi[j], d.mul(a, rk[j]))
+        nonzero = [[(j, x) for j, x in enumerate(r) if not d.is_zero(x)]
+                   for r in other.rows]
+        out = []
+        for ri in self.rows:
+            oi = [d.zero] * other.n
+            for a, rk in zip(ri, nonzero):
+                if rk and not d.is_zero(a):
+                    for j, x in rk:
+                        oi[j] = d.add(oi[j], d.mul(a, x))
+            out.append(oi)
         return Matrix(d, out, self.m, other.n)
 
     def __add__(self, other):
@@ -535,10 +534,67 @@ def rref(mat: Matrix):
     return Matrix(d, rows, m, n), pivots
 
 
+_RANK_PRIME = 2**31 - 1
+
+
+def _sparse_rank_mod(rows, p: int, full: int) -> int:
+    """Rank over F_p of integer rows, each an iterable of (column, value).
+
+    Each row, reduced mod p to a dict of its nonzero residues, is reduced
+    against the pivot rows found so far, always at its least column, and
+    becomes a pivot row if it does not vanish.  Stops early once `full`
+    pivots are found.
+    """
+    pivots = {}
+    for pairs in rows:
+        row = {j: v % p for j, v in pairs if v % p}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                if len(pivots) == full:
+                    return full
+                break
+            f = row[c]
+            for j, v in piv.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def _integral_row(row):
+    """(column, value) pairs of a rational row times its lcm denominator."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    scale = lcm(*(x.denominator for _, x in nonzero))
+    return [(j, x.numerator * (scale // x.denominator)) for j, x in nonzero]
+
+
 def rank(mat: Matrix) -> int:
-    """Rank of a matrix over a field; the empty matrix has rank 0."""
+    """Rank of a matrix over a field; the empty matrix has rank 0.
+
+    Over F_p the rank is that of a sparse elimination mod p.  Over Q each row
+    is scaled by the lcm of its denominators, which keeps the rank, and the
+    integer matrix is eliminated mod P = 2^31 - 1.  If that gives
+    r = min(m, n), some r x r minor is nonzero mod P, hence a nonzero
+    integer, so rank_Q >= r; and rank_Q <= min(m, n) always, so the rank is
+    r.  A modular rank below min(m, n) proves nothing (P may divide every
+    r x r minor), so that case and every other domain take the exact
+    `rref` route.
+    """
     if mat.m == 0 or mat.n == 0:
         return 0
+    d = mat.dom
+    full = min(mat.m, mat.n)
+    if isinstance(d, PrimeField):
+        return _sparse_rank_mod(map(enumerate, mat.rows), d.p, full)
+    if d is QQ and _sparse_rank_mod(map(_integral_row, mat.rows),
+                                    _RANK_PRIME, full) == full:
+        return full
     return len(rref(mat)[1])
 
 

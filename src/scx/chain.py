@@ -311,15 +311,18 @@ class BettiVector:
 
 
 class _RepEvaluator:
-    """Caches word evaluations of a representation-like object."""
+    """Caches the nonzero entries (a, b, value) of each word's matrix."""
 
     def __init__(self, rep):
         self.rep = rep
         self.cache = {}
 
-    def __call__(self, word) -> Matrix:
+    def __call__(self, word) -> list:
         if word not in self.cache:
-            self.cache[word] = eval_word(self.rep, word)
+            block = eval_word(self.rep, word)
+            zero = block.dom.is_zero
+            self.cache[word] = [(a, b, v) for a, row in enumerate(block.rows)
+                                for b, v in enumerate(row) if not zero(v)]
         return self.cache[word]
 
 
@@ -365,15 +368,12 @@ def _block_matrix(ev: _RepEvaluator, row_cells, col_cells, terms,
             except KeyError:
                 raise ChainError(f"{cell!r} maps to {target!r}, which is not"
                                  " a cell of the target degree") from None
-            block = ev(word)
             j0 = j * k
-            for a in range(k):
-                for b in range(k):
-                    v = block.rows[a][b]
-                    if not dom.is_zero(v):
-                        if coeff != 1:
-                            v = dom.mul(dom.of(coeff), v)
-                        mat[i0 + a][j0 + b] = dom.add(mat[i0 + a][j0 + b], v)
+            for a, b, v in ev(word):
+                if coeff != 1:
+                    v = dom.mul(dom.of(coeff), v)
+                row = mat[i0 + a]
+                row[j0 + b] = dom.add(row[j0 + b], v)
     return Matrix(dom, mat, k * len(row_cells), k * len(col_cells))
 
 

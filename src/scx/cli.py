@@ -184,12 +184,22 @@ def _field(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _at_least(text, low):
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def _max_degree(text):
     """argparse type of --max-degree, which enumerate_quotients needs >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _at_least(text, 1)
+
+
+def _max_regular_dim(text):
+    """argparse type of --max-regular-dim; 0 leaves the index test only
+    (on every quotient with a nontrivial image)."""
+    return _at_least(text, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +359,7 @@ def build_parser() -> _Parser:
     p = add("nonproduct", cmd_nonproduct, help="search for a non-product"
             " certificate")
     p.add_argument("--max-degree", type=_max_degree, default=3)
-    p.add_argument("--max-regular-dim", type=int, default=64)
+    p.add_argument("--max-regular-dim", type=_max_regular_dim, default=64)
 
     p = add("bounds", cmd_bounds, help="complexity lower bound")
     p.add_argument("--rep", default="trivial:1")

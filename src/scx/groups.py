@@ -476,12 +476,13 @@ def eval_word(rep: Representation, word) -> Matrix:
     >>> eval_word(permutation_representation(q), (1, 1)).m
     2
     """
-    acc = Matrix.identity(rep.dom, rep.dim)
+    acc = None
     for k in word:
         if not 1 <= abs(k) <= rep.pres.ngens:
             raise GroupError("word uses unknown generator index")
-        acc = acc * rep.gen_matrix(abs(k), 1 if k > 0 else -1)
-    return acc
+        g = rep.gen_matrix(abs(k), 1 if k > 0 else -1)
+        acc = g if acc is None else acc * g
+    return Matrix.identity(rep.dom, rep.dim) if acc is None else acc
 
 
 def dagger(rep: Representation) -> Representation:

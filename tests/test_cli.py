@@ -128,6 +128,13 @@ class TestVerdictCommands:
                            "--max-degree", "2")
         assert code == EX_UNKNOWN
 
+    def test_nonproduct_regular_cap_zero(self, capsys):
+        """0 is a valid cap: the index test alone on nontrivial images."""
+        code, out, _ = run(capsys, "nonproduct", "bundled:slope2_solidtorus",
+                           "--max-degree", "2", "--max-regular-dim", "0")
+        assert code == EX_OK and "test: index" in out
+        assert "over cap, index test only" in out
+
     def test_nonproduct_refusal(self, capsys):
         code, _, err = run(capsys, "nonproduct", "bundled:trefoil")
         assert code == EX_FAIL and err.startswith("refused:") and "R-" in err
@@ -244,6 +251,10 @@ class TestUsageAndErrors:
                      ["bounds", "bundled:product_T1", "--field", "fx"],
                      ["alex", "bundled:trefoil", "--phi", "ab", "--field", "f4"],
                      ["nonproduct", "bundled:product_T1", "--max-degree", "-1"],
+                     ["nonproduct", "bundled:product_T1", "--max-degree", "2",
+                      "--max-regular-dim", "-5"],
+                     ["nonproduct", "bundled:product_T1", "--max-degree", "2",
+                      "--max-regular-dim", "x"],
                      ["quotients", "bundled:product_T1", "--max-degree", "-1"]):
             code, _, err = run(capsys, *argv)
             assert code == EX_USAGE, argv

@@ -1,0 +1,238 @@
+"""Fast paths against slow, independent oracles kept here.
+
+- `algebra.rank` (sparse elimination mod p, trusted over Q only at full
+  rank) against the pivot count of the `Fraction`/F_p `rref`;
+- `Matrix.__mul__` (sparse right-hand rows) against a naive triple loop;
+- `chain.specialize` (cached nonzero entries of each word) against a dense
+  builder that evaluates every word with the naive product and fills every
+  k x k block entry by entry.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from scx.algebra import GF, QQ, LaurentRing, Matrix, rank, rref
+from scx.chain import MAX_DIM, specialize
+from scx.groups import (enumerate_quotients, eval_word,
+                        permutation_representation, regular_representation,
+                        trivial_representation)
+
+from conftest import BUNDLED
+
+P = 2**31 - 1
+
+
+def naive_mul(a, b):
+    d = a.dom
+    rows = []
+    for i in range(a.m):
+        row = []
+        for j in range(b.n):
+            acc = d.zero
+            for k in range(a.n):
+                acc = d.add(acc, d.mul(a.rows[i][k], b.rows[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return Matrix(d, rows, a.m, b.n)
+
+
+def naive_eval_word(rep, word):
+    acc = Matrix.identity(rep.dom, rep.dim)
+    for k in word:
+        acc = naive_mul(acc, rep.gen_matrix(abs(k), 1 if k > 0 else -1))
+    return acc
+
+
+def dense_boundary(cx, rep, rel_cells, d):
+    """Boundary matrix C_d -> C_{d-1} of (cx, rel), one entry at a time."""
+    dom, k = rep.dom, rep.dim
+    rows = [c for c in cx.cells[d - 1] if c not in rel_cells]
+    cols = [c for c in cx.cells[d] if c not in rel_cells]
+    idx = {c: i for i, c in enumerate(rows)}
+    mat = [[dom.zero] * (k * len(cols)) for _ in range(k * len(rows))]
+    for j, cell in enumerate(cols):
+        for coeff, word, target in cx.boundary.get(cell, ()):
+            if target in rel_cells:
+                continue
+            block = naive_eval_word(rep, word)
+            for a in range(k):
+                for b in range(k):
+                    v = dom.mul(dom.of(coeff), block.rows[a][b])
+                    i0, j0 = idx[target] * k + a, j * k + b
+                    mat[i0][j0] = dom.add(mat[i0][j0], v)
+    return Matrix(dom, mat, k * len(rows), k * len(cols))
+
+
+def oracle_rank(m):
+    return len(rref(m)[1]) if m.m and m.n else 0
+
+
+def random_low_rank(rng, m, n, r, entry):
+    """m x n product of m x r and r x n matrices of random entries."""
+    left = [[entry() for _ in range(r)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    return [[sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+class TestRankOverQ:
+    def test_random_rank_deficient(self):
+        rng = random.Random(11)
+        for _ in range(120):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            r = rng.randint(0, min(m, n))
+            rows = random_low_rank(rng, m, n, r,
+                                   lambda: Fraction(rng.randint(-3, 3)))
+            mat = Matrix.from_rows(QQ, rows)
+            assert rank(mat) == oracle_rank(mat), rows
+
+    def test_non_unit_denominators(self):
+        rng = random.Random(12)
+        for _ in range(120):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            r = rng.randint(0, min(m, n))
+            rows = random_low_rank(
+                rng, m, n, r,
+                lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+            mat = Matrix.from_rows(QQ, rows)
+            assert rank(mat) == oracle_rank(mat), rows
+
+    def test_sparse_full_rank(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            rows = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 4))
+                     if rng.random() < 0.25 else Fraction(0)
+                     for _ in range(n)] for _ in range(m)]
+            mat = Matrix.from_rows(QQ, rows)
+            assert rank(mat) == oracle_rank(mat), rows
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[P]], 1),
+        ([[P, 2 * P], [3 * P, 5 * P]], 2),
+        ([[1, 0], [0, P]], 2),
+        ([[1, 1], [1, 1 + P]], 2),
+        ([[Fraction(P, 2), Fraction(1, 3)], [Fraction(3 * P, 4), 0]], 2),
+        ([[Fraction(1, P), 1], [1, P]], 1),
+        ([[P, 0, 0], [0, P, 0]], 2),
+        ([[2 * P], [P]], 1),
+    ])
+    def test_multiples_of_the_prime(self, rows, expected):
+        """Singular mod 2^31 - 1 but not over Q: the exact fallback runs."""
+        mat = Matrix.from_rows(QQ, rows)
+        assert oracle_rank(mat) == expected
+        assert rank(mat) == expected
+
+    def test_random_multiples_of_the_prime(self):
+        rng = random.Random(14)
+        for _ in range(80):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            r = rng.randint(0, min(m, n))
+            rows = random_low_rank(rng, m, n, r,
+                                   lambda: Fraction(rng.randint(-2, 2)))
+            rows = [[x * P if rng.random() < 0.5
+                     else x + P * rng.randint(-1, 1) for x in row]
+                    for row in rows]
+            mat = Matrix.from_rows(QQ, rows)
+            assert rank(mat) == oracle_rank(mat), rows
+
+
+class TestRankOverPrimeFields:
+    @pytest.mark.parametrize("p", [2, 5, P])
+    def test_random(self, p):
+        dom = GF(p)
+        rng = random.Random(p)
+        for _ in range(120):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            r = rng.randint(0, min(m, n))
+            left = [[rng.randint(-3 * p, 3 * p) for _ in range(r)]
+                    for _ in range(m)]
+            right = [[rng.randint(0, p - 1) if rng.random() < 0.6 else 0
+                      for _ in range(n)] for _ in range(r)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(r))
+                     for j in range(n)] for i in range(m)]
+            mat = Matrix.from_rows(dom, rows)
+            assert rank(mat) == oracle_rank(mat), (p, rows)
+
+    @pytest.mark.parametrize("p", [2, 5, P])
+    def test_non_canonical_entries(self, p):
+        """Entries outside [0, p) are read modulo p, as `rref` reads them."""
+        dom = GF(p)
+        mat = Matrix.from_rows(dom, [[p, 1], [2 * p, p + 1], [-p, 3]])
+        assert rank(mat) == oracle_rank(mat)
+
+
+def _laurent(rng, ring):
+    return ring.poly(rng.randint(-2, 2),
+                     [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+
+
+class TestMatrixProduct:
+    @pytest.mark.parametrize("dom", [QQ, GF(5), GF(P)],
+                             ids=["Q", "F5", "Fbig"])
+    def test_fields(self, dom):
+        rng = random.Random(21)
+        for _ in range(60):
+            m, k, n = (rng.randint(0, 5) for _ in range(3))
+
+            def entry():
+                if rng.random() < 0.4:
+                    return 0
+                return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) \
+                    if dom is QQ else rng.randint(0, dom.p - 1)
+
+            a = Matrix.from_rows(dom, [[entry() for _ in range(k)]
+                                       for _ in range(m)]) if m else \
+                Matrix.zeros(dom, 0, k)
+            b = Matrix.from_rows(dom, [[entry() for _ in range(n)]
+                                       for _ in range(k)]) if k else \
+                Matrix.zeros(dom, 0, n)
+            prod = a * b
+            assert (prod.m, prod.n) == (m, n)
+            assert prod == naive_mul(a, b)
+
+    @pytest.mark.parametrize("base", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_laurent(self, base):
+        ring = LaurentRing(base)
+        rng = random.Random(22)
+        for _ in range(40):
+            m, k, n = (rng.randint(1, 4) for _ in range(3))
+            a = Matrix(ring, [[_laurent(rng, ring) for _ in range(k)]
+                              for _ in range(m)])
+            b = Matrix(ring, [[_laurent(rng, ring) for _ in range(n)]
+                              for _ in range(k)])
+            assert a * b == naive_mul(a, b)
+
+    def test_eval_word_matches_naive(self, docs):
+        pres = docs["product_T1"].presentation()
+        q = list(enumerate_quotients(pres, 3))[7]
+        rep = regular_representation(q)
+        for word in [(), (1,), (-2,), (1, 2, -1, -2), (2, 2, 1, -2)]:
+            assert eval_word(rep, word) == naive_eval_word(rep, word)
+
+
+def _representations(pres, dom):
+    reps = [trivial_representation(pres, k, dom) for k in (1, 2, 3)]
+    for q in enumerate_quotients(pres, 3):
+        reps.append(permutation_representation(q, dom))
+        reps.append(regular_representation(q, dom))
+    return reps
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("dom", [QQ, GF(5)], ids=["Q", "F5"])
+def test_specialize_matches_dense_builder(docs, name, dom):
+    doc = docs[name]
+    cx = doc.complex()
+    rels = [None] + [cx.subcomplex(sub, cells)
+                     for sub, cells in sorted(doc.subs.items())]
+    for rep in _representations(cx.group, dom):
+        for rel in rels:
+            tc = specialize(cx, rep, rel)
+            rel_cells = rel.cells if rel else frozenset()
+            for d in range(1, MAX_DIM + 1):
+                assert tc.boundary_matrix(d) == \
+                    dense_boundary(cx, rep, rel_cells, d), \
+                    (name, rep.describe(), rel and rel.name, d)

@@ -1,9 +1,14 @@
-"""Source-level guard: no check in the package relies on `assert`."""
+"""Source-level guards: no check in the package relies on `assert`, and
+every hook of the traced benchmark names a function that exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import scx
+
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
 def test_no_assert_in_package():
@@ -14,3 +19,31 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _child_constants():
+    """TRACED and ENTRY of perfbench/child.py, read without running it."""
+    tree = ast.parse(CHILD.read_text(), str(CHILD))
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("TRACED", "ENTRY")):
+            out[node.targets[0].id] = ast.literal_eval(node.value)
+    return out
+
+
+def test_benchmark_hooks_resolve():
+    """A renamed scx function fails here, not first in a traced run."""
+    consts = _child_constants()
+    hooks = list(consts["TRACED"]) + list(consts["ENTRY"].values())
+    assert len(hooks) > len(consts["ENTRY"])
+    missing = []
+    for module, qualname in hooks:
+        obj = importlib.import_module(module)
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        if not (inspect.isfunction(obj)
+                and obj.__module__.split(".")[0] == "scx"):
+            missing.append(f"{module}:{qualname}")
+    assert not missing, missing
