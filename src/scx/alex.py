@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LaurentPoly, LaurentRing, Matrix, pid_homology_order,
-                      poly_to_str)
+from .algebra import (AlgebraError, LaurentPoly, LaurentRing, Matrix,
+                      _order_from_diagonals, diagonalize_laurent,
+                      pid_homology_order, poly_to_str)
 from .chain import CellMap, betti, induced_map, specialize
 from .groups import (CohomologyClass, Representation, eval_word,
                      make_representation)
@@ -58,15 +59,41 @@ def laurent_twist(rep: Representation, phi: CohomologyClass) -> Representation:
                           rep.provenance, rep.unitary)
 
 
-def twisted_alexander(cx, phi: CohomologyClass, rep: Representation,
-                      i: int) -> AlexOrder:
-    """Order of H_i of the complex twisted by t^phi * rho."""
+def twisted_orders(cx, phi: CohomologyClass, rep: Representation,
+                   degrees) -> tuple:
+    """Orders of H_i, for each i in `degrees`, of the complex twisted by
+    t^phi * rho, as a tuple of AlexOrder in the order of `degrees`.
+
+    The complex is specialized once and each boundary map d_d is
+    diagonalized at most once; H_i is read off the diagonals of d_{i+1}
+    and d_i.  `pid_homology_order` would make the same checks: the entries
+    lie in F[t^±1] by construction, the shapes are checked here, and
+    d_i o d_{i+1} = 0 was checked by `specialize` for 1 <= i < MAX_DIM and
+    is an empty product for every other i.
+    """
     if not phi.is_cocycle(cx.group):
         raise AlexError("phi does not vanish on the relators")
     twist = laurent_twist(rep, phi)
     tc = specialize(cx, twist, None)
-    order = pid_homology_order(tc.boundary_matrix(i + 1), tc.boundary_matrix(i))
-    return AlexOrder(i, order, twist.dom)
+    diagonals = {}
+    orders = []
+    for i in degrees:
+        d_in, d_out = tc.boundary_matrix(i + 1), tc.boundary_matrix(i)
+        if d_out.n != d_in.m:
+            raise AlgebraError("boundary shapes do not compose")
+        for d, mat in ((i + 1, d_in), (i, d_out)):
+            if d not in diagonals:
+                diagonals[d] = diagonalize_laurent(mat)
+        order = _order_from_diagonals(twist.dom, d_in.m, diagonals[i + 1],
+                                      diagonals[i])
+        orders.append(AlexOrder(i, order, twist.dom))
+    return tuple(orders)
+
+
+def twisted_alexander(cx, phi: CohomologyClass, rep: Representation,
+                      i: int) -> AlexOrder:
+    """Order of H_i of the complex twisted by t^phi * rho."""
+    return twisted_orders(cx, phi, rep, (i,))[0]
 
 
 @dataclass(frozen=True)
@@ -90,7 +117,7 @@ def thurston_bound(cx, phi: CohomologyClass, rep: Representation) -> ThurstonRep
 
     Requires all three orders nonzero; reports which one vanished otherwise.
     """
-    orders = tuple(twisted_alexander(cx, phi, rep, i) for i in range(3))
+    orders = twisted_orders(cx, phi, rep, range(3))
     for o in orders:
         if o.poly.is_zero():
             return ThurstonReport(orders, None, f"Delta_{o.i} = 0", rep.dim)

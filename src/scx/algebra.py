@@ -326,7 +326,8 @@ def _is_elem(base, c):
     if base is QQ:
         return isinstance(c, Fraction)
     if isinstance(base, PrimeField):
-        return isinstance(c, int) and not isinstance(c, bool)
+        return (isinstance(c, int) and not isinstance(c, bool)
+                and 0 <= c < base.p)
     return False
 
 
@@ -772,13 +773,8 @@ def pid_homology_order(d_in: Matrix, d_out: Matrix) -> LaurentPoly:
     """Order of H = ker(d_out)/im(d_in) as an F[t^±1]-module.
 
     d_in maps C_{i+1} -> C_i and d_out maps C_i -> C_{i-1}; the composition
-    must vanish.  F[t^±1] is a PID and C_i / ker(d_out) embeds in the free
-    module C_{i-1}, so it is free and ker(d_out) is a direct summand of C_i.
-    Hence coker(d_in) = H ⊕ (a free module), the torsion of H is the torsion
-    of coker(d_in), and its order is the product of the nonzero diagonal
-    entries of d_in.  H has rank rank C_i - rank d_in - rank d_out, read off
-    the two diagonals.  Returns 0 when that rank is positive, otherwise the
-    order canonicalized to lowest exponent 0 and monic leading coefficient.
+    must vanish.  Checks the shapes and the composition, diagonalizes both
+    maps and reads the order off the two diagonals (`_order_from_diagonals`).
     """
     ring = d_in.dom
     if not isinstance(ring, LaurentRing):
@@ -787,9 +783,26 @@ def pid_homology_order(d_in: Matrix, d_out: Matrix) -> LaurentPoly:
         raise AlgebraError("boundary shapes do not compose")
     if d_out.m and d_in.n and not (d_out * d_in).is_zero_matrix():
         raise AlgebraError("d_out o d_in is nonzero")
-    divisors = [p for p in diagonalize_laurent(d_in) if not p.is_zero()]
-    rank_out = sum(1 for p in diagonalize_laurent(d_out) if not p.is_zero())
-    if len(divisors) + rank_out < d_in.m:
+    return _order_from_diagonals(ring, d_in.m, diagonalize_laurent(d_in),
+                                 diagonalize_laurent(d_out))
+
+
+def _order_from_diagonals(ring: LaurentRing, size: int, diag_in: list,
+                          diag_out: list) -> LaurentPoly:
+    """Order of H = ker(d_out)/im(d_in) from the diagonals of d_in, d_out.
+
+    C_i has rank `size`, and d_out o d_in = 0.  F[t^±1] is a PID and
+    C_i / ker(d_out) embeds in the free module C_{i-1}, so it is free and
+    ker(d_out) is a direct summand of C_i.  Hence coker(d_in) = H ⊕ (a free
+    module), the torsion of H is the torsion of coker(d_in), and its order
+    is the product of the nonzero diagonal entries of d_in.  H has rank
+    size - rank d_in - rank d_out, read off the two diagonals.  Returns 0
+    when that rank is positive, otherwise the order canonicalized to lowest
+    exponent 0 and monic leading coefficient.
+    """
+    divisors = [p for p in diag_in if not p.is_zero()]
+    rank_out = sum(1 for p in diag_out if not p.is_zero())
+    if len(divisors) + rank_out < size:
         return ring.zero
     prod = ring.one
     for p in divisors:

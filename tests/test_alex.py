@@ -74,9 +74,12 @@ class TestTwistedAlexander:
             phi = CohomologyClass(doc.phis["ab"])
             rep = trivial_representation(cx.group, 1, QQ)
             oracle = _oracle_polys(doc)
+            shared = thurston_bound(cx, phi, rep).orders
             for i in range(3):
                 mine = twisted_alexander(cx, phi, rep, i)
                 assert _same_up_to_reversal(mine.poly, oracle[i]), \
+                    (doc.relators, doc.phis, i)
+                assert _same_up_to_reversal(shared[i].poly, oracle[i]), \
                     (doc.relators, doc.phis, i)
 
     def test_circle(self):

@@ -131,6 +131,17 @@ class TestLaurent:
         shifted = R.mul(p, R.monomial(Fraction(3), -2))
         assert shifted.degree_span() == p.degree_span()
 
+    def test_prime_field_entries_are_residues(self):
+        """Ints outside [0, p) are reduced at construction, so `.rows` and
+        dataclass equality see canonical residues."""
+        f5 = GF(5)
+        assert Matrix.from_rows(f5, [[7, 1]]).rows == [[2, 1]]
+        assert Matrix.from_rows(f5, [[-1, -10]]).rows == [[4, 0]]
+        ring = LaurentRing(f5)
+        assert ring.poly(0, [7]) == ring.poly(0, [2])
+        assert ring.poly(0, [-3, 5, 1]) == ring.poly(0, [2, 0, 1])
+        assert ring.poly(0, [5]).is_zero()
+
     def test_field_tags(self):
         assert field_by_tag("q") is QQ
         assert field_by_tag("f5").p == 5

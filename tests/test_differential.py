@@ -5,7 +5,9 @@
 - `Matrix.__mul__` (sparse right-hand rows) against a naive triple loop;
 - `chain.specialize` (cached nonzero entries of each word) against a dense
   builder that evaluates every word with the naive product and fills every
-  k x k block entry by entry.
+  k x k block entry by entry;
+- `alex.thurston_bound` (one specialization, one diagonal per boundary map)
+  against a fresh specialization and `pid_homology_order` for each degree.
 """
 
 import random
@@ -13,9 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from scx.algebra import GF, QQ, LaurentRing, Matrix, rank, rref
+from scx.algebra import (GF, QQ, LaurentRing, Matrix, pid_homology_order,
+                         rank, rref)
+from scx.alex import laurent_twist, thurston_bound
 from scx.chain import MAX_DIM, specialize
-from scx.groups import (enumerate_quotients, eval_word,
+from scx.groups import (CohomologyClass, enumerate_quotients, eval_word,
                         permutation_representation, regular_representation,
                         trivial_representation)
 
@@ -236,3 +240,29 @@ def test_specialize_matches_dense_builder(docs, name, dom):
                 assert tc.boundary_matrix(d) == \
                     dense_boundary(cx, rep, rel_cells, d), \
                     (name, rep.describe(), rel and rel.name, d)
+
+
+def oracle_orders(cx, phi, rep):
+    """Delta_0..2, each from its own specialization and both diagonals."""
+    orders = []
+    for i in range(3):
+        tc = specialize(cx, laurent_twist(rep, phi), None)
+        orders.append(pid_homology_order(tc.boundary_matrix(i + 1),
+                                         tc.boundary_matrix(i)))
+    return orders
+
+
+@pytest.mark.parametrize("name,phi", [
+    ("trefoil", "ab"), ("figure8", "ab"), ("trefoil_fibered", "dual"),
+    ("d3_two_sutures", {}), ("meridional_solidtorus", {"x": 1}),
+    ("trefoil", {"x": 0, "y": 0})],
+    ids=["trefoil", "figure8", "trefoil_fibered", "d3_two_sutures",
+         "meridional_solidtorus", "trefoil_zero_class"])
+@pytest.mark.parametrize("dom", [QQ, GF(5)], ids=["Q", "F5"])
+def test_thurston_bound_matches_per_degree_orders(docs, name, phi, dom):
+    doc = docs[name]
+    cx = doc.complex()
+    phi = CohomologyClass(doc.phis[phi] if isinstance(phi, str) else phi)
+    for rep in _representations(cx.group, dom):
+        got = [o.poly for o in thurston_bound(cx, phi, rep).orders]
+        assert got == oracle_orders(cx, phi, rep), (name, rep.describe())
