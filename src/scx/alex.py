@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraError, LaurentPoly, LaurentRing, Matrix,
-                      _order_from_diagonals, diagonalize_laurent,
-                      pid_homology_order, poly_to_str)
+from .algebra import (LaurentPoly, LaurentRing, Matrix, _order_from_diagonals,
+                      diagonalize_laurent, pid_homology_order, poly_to_str)
 from .chain import CellMap, betti, induced_map, specialize
 from .groups import (CohomologyClass, Representation, eval_word,
                      make_representation)
@@ -67,9 +66,10 @@ def twisted_orders(cx, phi: CohomologyClass, rep: Representation,
     The complex is specialized once and each boundary map d_d is
     diagonalized at most once; H_i is read off the diagonals of d_{i+1}
     and d_i.  `pid_homology_order` would make the same checks: the entries
-    lie in F[t^±1] by construction, the shapes are checked here, and
-    d_i o d_{i+1} = 0 was checked by `specialize` for 1 <= i < MAX_DIM and
-    is an empty product for every other i.
+    lie in F[t^±1] and `boundary_matrix` gives shapes that compose in every
+    degree by construction, and d_i o d_{i+1} = 0 was checked by
+    `specialize` for 1 <= i < MAX_DIM and is an empty product for every
+    other i.
     """
     if not phi.is_cocycle(cx.group):
         raise AlexError("phi does not vanish on the relators")
@@ -79,8 +79,6 @@ def twisted_orders(cx, phi: CohomologyClass, rep: Representation,
     orders = []
     for i in degrees:
         d_in, d_out = tc.boundary_matrix(i + 1), tc.boundary_matrix(i)
-        if d_out.n != d_in.m:
-            raise AlgebraError("boundary shapes do not compose")
         for d, mat in ((i + 1, d_in), (i, d_out)):
             if d not in diagonals:
                 diagonals[d] = diagonalize_laurent(mat)

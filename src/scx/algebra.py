@@ -37,7 +37,6 @@ class RationalField:
 
     name = "Q"
     is_field = True
-    characteristic = 0
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -114,7 +113,6 @@ class PrimeField:
             raise AlgebraError(f"{p} is not a supported prime")
         self.p = p
         self.name = f"F{p}"
-        self.characteristic = p
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -216,7 +214,6 @@ class LaurentRing:
     def __init__(self, base):
         self.base = base
         self.name = f"{base.name}[t^±1]"
-        self.characteristic = base.characteristic
 
     def poly(self, low: int, coeffs) -> LaurentPoly:
         cs = [self.base.of(c) if not _is_elem(self.base, c) else c for c in coeffs]
@@ -246,9 +243,6 @@ class LaurentRing:
     def one(self):
         return self.poly(0, [self.base.one])
 
-    def t(self, n: int = 1) -> LaurentPoly:
-        return self.poly(n, [self.base.one])
-
     def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if a.is_zero():
             return b
@@ -277,11 +271,6 @@ class LaurentRing:
             for j, cb in enumerate(b.coeffs):
                 cs[i + j] = self.base.add(cs[i + j], self.base.mul(ca, cb))
         return self.poly(a.low + b.low, cs)
-
-    def shift(self, a: LaurentPoly, n: int) -> LaurentPoly:
-        if a.is_zero():
-            return a
-        return LaurentPoly(a.low + n, a.coeffs)
 
     def is_zero(self, a: LaurentPoly) -> bool:
         return a.is_zero()
@@ -444,18 +433,6 @@ class Matrix:
                         oi[j] = d.add(oi[j], d.mul(a, x))
             out.append(oi)
         return Matrix(d, out, self.m, other.n)
-
-    def __add__(self, other):
-        d = self.dom
-        return Matrix(d, [[d.add(self.rows[i][j], other.rows[i][j])
-                           for j in range(self.n)] for i in range(self.m)],
-                      self.m, self.n)
-
-    def __sub__(self, other):
-        d = self.dom
-        return Matrix(d, [[d.sub(self.rows[i][j], other.rows[i][j])
-                           for j in range(self.n)] for i in range(self.m)],
-                      self.m, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or self.m != other.m or self.n != other.n:
@@ -731,16 +708,15 @@ def snf_integers(rows) -> tuple:
         grid, lambda x: abs(x) if x else None,
         lambda x, p: -(x // p),
         lambda x, q, y: x + q * y)]
-    # enforce d1 | d2 | ...
+    # enforce d1 | d2 | ...; a zero is never followed by a nonzero entry:
+    # _euclid_diagonal stops at the first all-zero block, so zeros only
+    # trail, and the gcd step below keeps nonzero entries nonzero
     changed = True
     while changed:
         changed = False
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
-            if a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
-            elif a != 0 and b % a != 0:
+            if a != 0 and b % a != 0:
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import QQ, Matrix, kernel_basis, rank, snf_integers, solve
+from .algebra import (QQ, Matrix, kernel_basis, rank, rref, snf_integers,
+                      solve)
 from .groups import (GroupPresentation, Representation, eval_word,
                      trivial_representation, word_inv, word_mul,
                      word_exponent_vector)
@@ -281,17 +282,17 @@ class TwistedComplex:
     k: int
     cells: dict
     mats: dict = field(repr=False)
-    label: str = ""
 
     def n_cells(self, d) -> int:
         return len(self.cells.get(d, ()))
 
     def boundary_matrix(self, d) -> Matrix:
+        """d_d : C_d -> C_{d-1}; the zero map outside 1..MAX_DIM, where
+        C_{d-1} or C_d has no cells."""
         if d in self.mats:
             return self.mats[d]
-        if d <= 0:
-            return Matrix.zeros(self.dom, 0, self.k * self.n_cells(0))
-        return Matrix.zeros(self.dom, self.k * self.n_cells(MAX_DIM), 0)
+        return Matrix.zeros(self.dom, self.k * self.n_cells(d - 1),
+                            self.k * self.n_cells(d))
 
 
 @dataclass(frozen=True)
@@ -342,8 +343,7 @@ def specialize(cx: EquivariantComplex, rep: Representation,
              for d in range(MAX_DIM + 1)}
     mats = {d: _block_matrix(ev, cells[d - 1], cells[d], cx.boundary, excluded)
             for d in range(1, MAX_DIM + 1)}
-    tc = TwistedComplex(rep.dom, rep.dim, cells, mats,
-                        label=rel.name if rel else "")
+    tc = TwistedComplex(rep.dom, rep.dim, cells, mats)
     for d in range(2, MAX_DIM + 1):
         prod = tc.boundary_matrix(d - 1) * tc.boundary_matrix(d)
         if not prod.is_zero_matrix():
@@ -513,7 +513,7 @@ def _restrict(cx, full: TwistedComplex, rel: SubcomplexRef) -> TwistedComplex:
         rows = _positions(cx.cells[d - 1], cells[d - 1], k)
         cols = _positions(cx.cells[d], cells[d], k)
         mats[d] = full.boundary_matrix(d).row_subset(rows).columns(cols)
-    return TwistedComplex(full.dom, k, cells, mats, label=rel.name)
+    return TwistedComplex(full.dom, k, cells, mats)
 
 
 def _positions(all_cells, keep, k):
@@ -556,19 +556,16 @@ def pullback_representation(cmap: CellMap, rep: Representation) -> Representatio
 
 
 def _homology_basis(tc: TwistedComplex, d):
-    """(representatives, boundary, chosen) for H_d in canonical bases."""
+    """(representatives, boundary) for H_d in canonical bases.
+
+    The representatives are the columns of the echelon kernel basis K that
+    are independent modulo im B and the kernel columns before them: exactly
+    the pivot columns of rref(B | K) that lie in K.
+    """
     K = kernel_basis(tc.boundary_matrix(d))
     B = tc.boundary_matrix(d + 1)
-    chosen = []
-    current = B
-    cur_rank = rank(B)
-    for j in range(K.n):
-        cand = current.hstack(K.columns([j]))
-        r = rank(cand)
-        if r > cur_rank:
-            current, cur_rank = cand, r
-            chosen.append(j)
-    return K.columns(chosen), B
+    _, pivots = rref(B.hstack(K))
+    return K.columns([c - B.n for c in pivots if c >= B.n]), B
 
 
 def _homology_coords(B: Matrix, reps: Matrix, vectors: Matrix) -> Matrix:
@@ -605,7 +602,7 @@ def induced_map(cx, source, rep, degree) -> Matrix:
         for d in range(1, MAX_DIM + 1):
             lhs = full.boundary_matrix(d) * T_by_deg[d]
             rhs = T_by_deg[d - 1] * src.boundary_matrix(d)
-            if not (lhs - rhs).is_zero_matrix():
+            if lhs != rhs:
                 raise ChainError("cell map is not chain-level compatible under"
                                  " this representation")
         T = T_by_deg[degree]

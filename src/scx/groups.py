@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import QQ, AlgebraError, Matrix, inverse
 
@@ -223,24 +224,19 @@ def eval_word_perm(images, word, n) -> tuple:
     return out
 
 
-def _generated_subgroup(perms, n, cap=None) -> set:
-    """Elements of the subgroup of S_n generated by perms, by breadth-first
-    closure from the identity; SizeLimitError once more than cap are found."""
-    seen = {perm_identity(n)}
-    frontier = [perm_identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = perm_mul(p, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if cap is not None and len(seen) > cap:
-                        raise SizeLimitError(f"generated subgroup has more"
-                                             f" than {cap} elements")
-        frontier = nxt
-    return seen
+def _generated_subgroup(perms, n) -> list:
+    """Elements of the subgroup of S_n generated by perms, in breadth-first
+    order from the identity, multiplying on the left by each generator in
+    order."""
+    elements = [perm_identity(n)]
+    seen = set(elements)
+    for g in elements:
+        for p in perms:
+            h = perm_mul(p, g)
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+    return elements
 
 
 def perm_group_order(perms) -> int:
@@ -250,24 +246,33 @@ def perm_group_order(perms) -> int:
     return len(_generated_subgroup(perms, len(perms[0])))
 
 
-def perm_group_elements(perms, n, cap=64) -> list:
-    """Deterministically ordered element list of the generated subgroup."""
-    return sorted(_generated_subgroup(perms, n, cap))
-
-
 # ---------------------------------------------------------------------------
 # quotients
 
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """A homomorphism onto a permutation group, relators checked."""
+    """A homomorphism onto a permutation group, relators checked.
+
+    `elements` is the image G in breadth-first order from the identity,
+    multiplying on the left by the generator images in order.  The images
+    determine it, so it takes no part in repr, == or hash; the order of G,
+    transitivity and the regular representation are all read off it.
+    """
 
     pres: GroupPresentation
     degree: int
     images: tuple
-    transitive: bool
-    image_order: int
+    elements: tuple = field(repr=False, compare=False)
+
+    @property
+    def image_order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def transitive(self) -> bool:
+        """The orbit of point 0, the images of 0 under G, is every point."""
+        return len({g[0] for g in self.elements}) == self.degree
 
     def describe(self) -> str:
         ims = " ".join(f"{g}={perm_cycles_str(p)}"
@@ -304,19 +309,11 @@ def check_hom(pres: GroupPresentation, images) -> bool:
     return True
 
 
-def _is_transitive(images, n) -> bool:
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in images:
-                for y in (p[x], perm_inv(p)[x]):
-                    if y not in reach:
-                        reach.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return len(reach) == n
+def _quotient(pres: GroupPresentation, degree: int, images) -> FiniteQuotient:
+    """The quotient with these (relator-checked) generator images."""
+    images = tuple(images)
+    return FiniteQuotient(pres, degree, images,
+                          tuple(_generated_subgroup(images, degree)))
 
 
 def permutation_quotient(pres: GroupPresentation, degree: int,
@@ -335,9 +332,7 @@ def permutation_quotient(pres: GroupPresentation, degree: int,
                   for g in pres.gens)
     if not check_hom(pres, perms):
         raise GroupError("permutations do not satisfy the relators")
-    return FiniteQuotient(pres, degree, perms,
-                          _is_transitive(perms, degree) if perms else degree == 1,
-                          perm_group_order(list(perms)))
+    return _quotient(pres, degree, perms)
 
 
 def enumerate_quotients(pres: GroupPresentation, max_degree: int,
@@ -360,11 +355,9 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
 
         def extend(i):
             if i == ngens:
-                tr = _is_transitive(assignment, n) if ngens else (n == 1)
-                if transitive_only and not tr:
-                    return
-                order = perm_group_order(list(assignment)) if ngens else 1
-                yield FiniteQuotient(pres, n, tuple(assignment), tr, order)
+                q = _quotient(pres, n, assignment)
+                if q.transitive or not transitive_only:
+                    yield q
                 return
             for p in perms:
                 assignment[i] = p
@@ -378,10 +371,7 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
                     yield from extend(i + 1)
             assignment[i] = None
 
-        if ngens == 0:
-            yield FiniteQuotient(pres, n, (), n == 1, 1)
-        else:
-            yield from extend(0)
+        yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +389,6 @@ class Representation:
     inv_mats: tuple = field(repr=False, default=())
     provenance: str = "user-supplied"
     unitary: bool = False
-
-    @property
-    def field_name(self) -> str:
-        return self.dom.name
 
     def gen_matrix(self, idx: int, sign: int) -> Matrix:
         return self.mats[idx - 1] if sign > 0 else self.inv_mats[idx - 1]
@@ -455,8 +441,13 @@ def permutation_representation(q: FiniteQuotient, dom=QQ) -> Representation:
 
 
 def regular_representation(q: FiniteQuotient, dom=QQ, cap=64) -> Representation:
-    """Left multiplication on a deterministically ordered copy of the image."""
-    elements = perm_group_elements(list(q.images), q.degree, cap=cap)
+    """Left multiplication on the image, in its breadth-first order
+    `q.elements`; SizeLimitError if the image is nontrivial and has more
+    than cap elements."""
+    elements = q.elements
+    if len(elements) > max(cap, 1):
+        raise SizeLimitError(f"image has {len(elements)} elements, more"
+                             f" than {cap}")
     index = {g: i for i, g in enumerate(elements)}
     mats = []
     invs = []

@@ -76,14 +76,6 @@ class ScxDocument:
             raise ParseError(f"meta {key} must be an integer,"
                              f" got {self.metas[key]!r}") from None
 
-    def __eq__(self, other):
-        if not isinstance(other, ScxDocument):
-            return NotImplemented
-        return (self.version, self.gens, self.relators, self.cells,
-                self.boundaries, self.subs, self.metas, self.phis) == \
-               (other.version, other.gens, other.relators, other.cells,
-                other.boundaries, other.subs, other.metas, other.phis)
-
 
 def parse_scx(text: str) -> ScxDocument:
     doc = ScxDocument()

@@ -19,7 +19,7 @@ from .chain import ChainError, SubcomplexRef, betti, specialize
 from .groups import (CohomologyClass, enumerate_quotients, eval_word_perm,
                      perm_group_order, permutation_representation,
                      regular_representation, trivial_representation,
-                     word_inv, word_mul, SizeLimitError)
+                     word_inv, word_mul)
 from .scxio import ScxDocument
 
 
@@ -31,9 +31,7 @@ class PreconditionError(SuturedError):
     """An operation's stated hypotheses are not met; refuse with explanation."""
 
 
-VERDICT_STATUSES = ("certified-taut", "certified-not-taut",
-                    "certified-not-product", "certified-not-fibered-analog",
-                    "unknown")
+VERDICT_STATUSES = ("certified-taut", "certified-not-product", "unknown")
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,10 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
     pi_1(R-) with the order of the full image (strict inequality makes the
     regular-representation pair homology nonzero by the dimension count
     |G| / |im(pi_1(R-) -> G)| > |G| / |im(pi_1(M) -> G)|), and the direct
-    test computes b1 under the regular representation.  Disconnected R-
-    short-circuits through untwisted homology.
+    test computes b1 under the regular representation, on every quotient
+    whose image has at most regular_cap elements; a trivial image always
+    runs it, so caps 0 and 1 act alike.  Disconnected R- short-circuits
+    through untwisted homology.
     """
     if "R-" not in sc.doc.subs:
         raise PreconditionError("no R- subcomplex declared")
@@ -263,7 +263,7 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
 
     def evaluate(q):
         images = [eval_word_perm(q.images, w, q.degree) for w in gen_words]
-        sub_order = perm_group_order(images) if images else 1
+        sub_order = perm_group_order(images)
         detail = {"quotient": q.describe(),
                   "im_order_rminus": sub_order,
                   "im_order_total": q.image_order}
@@ -273,11 +273,11 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
             detail["dim_h0_rminus_regular"] = q.image_order // sub_order
             detail["dim_h0_total_regular"] = 1
         direct = None
-        try:
+        if q.image_order <= max(regular_cap, 1):
             reg = regular_representation(q, QQ, cap=regular_cap)
             direct = betti(specialize(sc.cx, reg, rminus))
             detail["b_pair_rminus_regular"] = str(direct)
-        except SizeLimitError:
+        else:
             detail["note"] = "regular representation over cap, index test only"
         if index_fired:
             return detail

@@ -82,6 +82,17 @@ class TestTwistedAlexander:
                 assert _same_up_to_reversal(shared[i].poly, oracle[i]), \
                     (doc.relators, doc.phis, i)
 
+    @pytest.mark.parametrize("name,phi", [
+        ("trefoil", "ab"), ("meridional_solidtorus", {"x": 1})])
+    def test_orders_outside_the_cell_degrees(self, name, phi):
+        # no cells below degree 0 or above 3, so H_i = 0 and its order is 1
+        doc = load_document(f"bundled:{name}")
+        cx = doc.complex()
+        phi = CohomologyClass(doc.phis[phi] if isinstance(phi, str) else phi)
+        rep = trivial_representation(cx.group, 1, QQ)
+        for i in (-2, -1, 4, 5):
+            assert twisted_alexander(cx, phi, rep, i).poly_str() == "1", i
+
     def test_circle(self):
         doc = presentation_complex(("x",), [], phi={"x": 1})
         cx = doc.complex()

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from scx.algebra import GF, QQ
-from scx.chain import (ChainError, SpecializeError, betti, duality_check,
-                       euler_check, h0_vanishing_check, induced_map,
-                       les_check, specialize, untwisted_homology)
+from scx.algebra import GF, QQ, rank
+from scx.chain import (MAX_DIM, ChainError, SpecializeError, betti,
+                       duality_check, euler_check, h0_vanishing_check,
+                       induced_map, les_check, specialize, untwisted_homology)
 from scx.cli import load_document
 from scx.groups import (dagger, enumerate_quotients, permutation_representation,
                         regular_representation, trivial_representation)
 from scx.sutured import SuturedComplex
 
-from conftest import random_presentation_doc, random_quotient
+from conftest import BUNDLED, random_presentation_doc, random_quotient
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +278,28 @@ class TestComponentsAndPi1:
         words = meridional.cx.pi1_generator_words(
             meridional.sub_cells("R-"))
         assert words == []
+
+
+class TestBoundaryMatrix:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_degree_composes(self, docs, name):
+        """Outside 1..MAX_DIM the boundary map is the zero map between the
+        right (possibly empty) chain groups, so shapes compose in every
+        degree, and betti agrees with ranks of the specialized maps alone."""
+        doc = docs[name]
+        cx = doc.complex()
+        rels = [None] + [cx.subcomplex(s, c) for s, c in sorted(doc.subs.items())]
+        for k in (1, 2):
+            for rel in rels:
+                tc = specialize(cx, triv(cx, k), rel)
+                for d in range(-3, MAX_DIM + 4):
+                    mat = tc.boundary_matrix(d)
+                    assert (mat.m, mat.n) == (k * tc.n_cells(d - 1),
+                                              k * tc.n_cells(d)), (name, d)
+                    assert tc.boundary_matrix(d - 1).n == mat.m
+                    if not 1 <= d <= MAX_DIM:
+                        assert mat.is_zero_matrix()
+                ranks = {d: rank(tc.mats[d]) for d in range(1, MAX_DIM + 1)}
+                assert betti(tc).b == tuple(
+                    k * tc.n_cells(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+                    for d in range(MAX_DIM + 1)), (name, k, rel)

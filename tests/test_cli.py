@@ -81,6 +81,18 @@ class TestHomology:
                            "--rel", "R-", "--rep", str(rep))
         assert code == EX_OK and "b = (0, 0, 0, 0)" in out
 
+    @pytest.mark.parametrize("entry,code,message", [
+        ("1/2", EX_OK, "b = (0, 0, 0, 0)"),
+        ("1/5", EX_DATA, "denominator divisible by 5"),
+        ("5", EX_DATA, "singular")])
+    def test_prime_field_fraction_entries(self, capsys, tmp_path, entry, code,
+                                          message):
+        rep = tmp_path / "rep.txt"
+        rep.write_text(f"rep 1\nkind matrix\nfield f5\ndim 1\ngen a = {entry}\n")
+        got, out, err = run(capsys, "homology", "bundled:product_A1",
+                            "--rel", "R-", "--rep", str(rep))
+        assert got == code and message in out + err
+
     def test_bad_rep_rejected(self, capsys, tmp_path):
         doc = tmp_path / "rep.txt"
         for body in ("kind perm\ndegree 2\ngen x = (1 2)\n",  # relator fails
@@ -181,6 +193,13 @@ class TestOtherCommands:
         assert code == EX_OK
         assert all("intransitive" not in line
                    for line in out.splitlines() if line.startswith("degree"))
+
+
+    @pytest.mark.parametrize("name", ["d3_two_sutures", "product_D2"])
+    def test_quotients_transitive_without_generators(self, capsys, name):
+        code, out, _ = run(capsys, "quotients", f"bundled:{name}",
+                           "--max-degree", "4", "--transitive")
+        assert code == EX_OK and out == "total: 0\n"
 
 
 class TestUsageAndErrors:

@@ -7,7 +7,14 @@
   builder that evaluates every word with the naive product and fills every
   k x k block entry by entry;
 - `alex.thurston_bound` (one specialization, one diagonal per boundary map)
-  against a fresh specialization and `pid_homology_order` for each degree.
+  against a fresh specialization and `pid_homology_order` for each degree;
+- `FiniteQuotient.transitive`, `.image_order` and `regular_representation`
+  (all read off the breadth-first image `elements`) against a point-orbit
+  search, a closure under products and a regular representation on the
+  sorted image; `nonproduct_search` against the loop that built that sorted
+  representation and caught `SizeLimitError` past the cap;
+- `chain._homology_basis` (the pivot columns of one rref) against a greedy
+  choice of kernel columns, one rank call per column.
 """
 
 import random
@@ -15,15 +22,20 @@ from fractions import Fraction
 
 import pytest
 
+import scx.chain
 from scx.algebra import (GF, QQ, LaurentRing, Matrix, pid_homology_order,
                          rank, rref)
-from scx.alex import laurent_twist, thurston_bound
-from scx.chain import MAX_DIM, specialize
-from scx.groups import (CohomologyClass, enumerate_quotients, eval_word,
-                        permutation_representation, regular_representation,
-                        trivial_representation)
+from scx.alex import det_form_check, laurent_twist, thurston_bound
+from scx.chain import MAX_DIM, betti, induced_map, specialize
+from scx.groups import (CohomologyClass, Representation, SizeLimitError,
+                        enumerate_quotients, eval_word, eval_word_perm,
+                        perm_group_order, perm_inv, perm_mul,
+                        permutation_matrix, permutation_representation,
+                        regular_representation, trivial_representation)
+from scx.models import fibered_cut
+from scx.sutured import nonproduct_search
 
-from conftest import BUNDLED
+from conftest import BUNDLED, SUTURED_BUNDLED
 
 P = 2**31 - 1
 
@@ -266,3 +278,207 @@ def test_thurston_bound_matches_per_degree_orders(docs, name, phi, dom):
     for rep in _representations(cx.group, dom):
         got = [o.poly for o in thurston_bound(cx, phi, rep).orders]
         assert got == oracle_orders(cx, phi, rep), (name, rep.describe())
+
+
+# ---------------------------------------------------------------------------
+# finite quotients: the breadth-first image against searches of its own
+
+
+def orbit_transitive(images, n):
+    """Breadth-first search over points from 0, by each image and inverse."""
+    reach, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in images:
+                for y in (p[x], p.index(x)):
+                    if y not in reach:
+                        reach.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return len(reach) == n
+
+
+def closure(images, n):
+    """The generated subgroup: close {identity} under left products."""
+    group = {tuple(range(n))}
+    while True:
+        new = {perm_mul(p, g) for g in group for p in images} - group
+        if not new:
+            return group
+        group |= new
+
+
+def sorted_regular(q, dom=QQ, cap=64):
+    """Left multiplication on the sorted image.  Like the closure that once
+    built it, it raises SizeLimitError only when a non-identity element
+    takes the count past cap."""
+    elements = sorted(closure(q.images, q.degree))
+    if len(elements) > cap and len(elements) > 1:
+        raise SizeLimitError(f"more than {cap} elements")
+    index = {g: i for i, g in enumerate(elements)}
+    actions = [tuple(index[perm_mul(p, g)] for g in elements)
+               for p in q.images]
+    return Representation(
+        q.pres, len(elements), dom,
+        tuple(permutation_matrix(dom, a) for a in actions),
+        tuple(permutation_matrix(dom, perm_inv(a)) for a in actions),
+        "regular-of-quotient", True)
+
+
+def _quotient_presentations(docs):
+    return {"F2": docs["product_T1"].presentation(),
+            "trefoil": docs["trefoil"].presentation()}
+
+
+@pytest.mark.parametrize("group", ["F2", "trefoil"])
+def test_quotient_image_matches_searches(docs, group):
+    pres = _quotient_presentations(docs)[group]
+    for q in enumerate_quotients(pres, 4):
+        n = q.degree
+        assert q.transitive == orbit_transitive(q.images, n), q.describe()
+        assert q.image_order == perm_group_order(list(q.images))
+        assert q.elements[0] == tuple(range(n))
+        assert len(set(q.elements)) == q.image_order
+        assert set(q.elements) == closure(q.images, n)
+
+
+@pytest.mark.parametrize("group", ["F2", "trefoil"])
+def test_regular_conjugate_to_sorted(docs, group):
+    """The breadth-first basis only relabels the sorted one: P maps basis
+    vector i to the sorted position of elements[i], and P * reg(g) =
+    sorted(g) * P for every generator."""
+    pres = _quotient_presentations(docs)[group]
+    for q in enumerate_quotients(pres, 4):
+        reg, ref = regular_representation(q), sorted_regular(q)
+        position = {g: i for i, g in enumerate(sorted(q.elements))}
+        P = permutation_matrix(QQ, tuple(position[g] for g in q.elements))
+        for m, m_ref in zip(reg.mats, ref.mats):
+            assert P * m == m_ref * P, q.describe()
+
+
+def test_regular_betti_matches_sorted(sutured):
+    sc = sutured["product_T1"]
+    rminus = sc.rminus()
+    for q in enumerate_quotients(sc.cx.group, 4):
+        assert betti(specialize(sc.cx, regular_representation(q), rminus)) \
+            == betti(specialize(sc.cx, sorted_regular(q), rminus)), \
+            q.describe()
+
+
+def oracle_nonproduct(sc, max_degree, cap):
+    """(status, witness, log) of the non-product loop that built the sorted
+    regular representation and fell back to the index test on
+    SizeLimitError."""
+    rminus = sc.rminus()
+    log = {"degrees": f"2..{max_degree}", "representations_tested": 0}
+    comps = sc.cx.components(sc.sub_cells("R-"))
+    if len(comps) > 1:
+        bv = betti(specialize(
+            sc.cx, trivial_representation(sc.cx.group, 1, QQ), rminus))
+        if bv[1] >= 1:
+            return ("certified-not-product",
+                    {"test": "disconnected R-", "components": len(comps),
+                     "b_pair_rminus": str(bv)}, log)
+    gen_words = sc.cx.pi1_generator_words(sc.sub_cells("R-"))
+    for q in enumerate_quotients(sc.cx.group, max_degree):
+        log["representations_tested"] += 1
+        images = [eval_word_perm(q.images, w, q.degree) for w in gen_words]
+        sub = len(closure(images, q.degree))
+        total = len(closure(q.images, q.degree))
+        detail = {"quotient": q.describe(), "im_order_rminus": sub,
+                  "im_order_total": total}
+        if sub < total:
+            detail["test"] = "index"
+            detail["dim_h0_rminus_regular"] = total // sub
+            detail["dim_h0_total_regular"] = 1
+        direct = None
+        try:
+            direct = betti(specialize(sc.cx, sorted_regular(q, QQ, cap),
+                                      rminus))
+            detail["b_pair_rminus_regular"] = str(direct)
+        except SizeLimitError:
+            detail["note"] = "regular representation over cap, index test only"
+        if sub < total:
+            return "certified-not-product", detail, log
+        if direct is not None and direct[1] != 0:
+            detail["test"] = "direct"
+            return "certified-not-product", detail, log
+    return "unknown", None, log
+
+
+@pytest.mark.parametrize("name", SUTURED_BUNDLED)
+def test_nonproduct_caps_match_oracle(sutured, name):
+    sc = sutured[name]
+    got = {}
+    for cap in (0, 1, 5, 100):
+        v = nonproduct_search(sc, 3, regular_cap=cap)
+        got[cap] = (v.status, v.witness, v.log)
+        assert got[cap] == oracle_nonproduct(sc, 3, cap), (name, cap)
+    assert got[0] == got[1], name
+
+
+# ---------------------------------------------------------------------------
+# homology bases: one rref against a greedy choice
+
+
+def greedy_homology_basis(tc, d):
+    """Kernel columns taken in order, each kept iff it raises the rank of
+    im B plus the columns kept so far."""
+    K = scx.chain.kernel_basis(tc.boundary_matrix(d))
+    B = tc.boundary_matrix(d + 1)
+    chosen, current, cur_rank = [], B, rank(B)
+    for j in range(K.n):
+        cand = current.hstack(K.columns([j]))
+        r = rank(cand)
+        if r > cur_rank:
+            current, cur_rank = cand, r
+            chosen.append(j)
+    return K.columns(chosen), B
+
+
+def _small_representations(pres):
+    reps = [trivial_representation(pres, k, QQ) for k in (1, 2)]
+    reps += [permutation_representation(q)
+             for q in enumerate_quotients(pres, 3)]
+    return reps
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_homology_basis_matches_greedy(docs, name, monkeypatch):
+    doc = docs[name]
+    cx = doc.complex()
+    subs = [cx.subcomplex(sub, cells) for sub, cells in sorted(doc.subs.items())]
+    for rep in _small_representations(cx.group):
+        full = specialize(cx, rep, None)
+        pieces = [full] + [scx.chain._restrict(cx, full, s) for s in subs]
+        for tc in pieces:
+            for d in range(MAX_DIM + 1):
+                got = scx.chain._homology_basis(tc, d)
+                want = greedy_homology_basis(tc, d)
+                assert got[0] == want[0], (name, rep.describe(), d)
+        # maps induced by R- and R+, in the degrees det_form_check asks for
+        rsubs = [s for s in subs if s.name in ("R-", "R+")]
+        got = [induced_map(cx, s, rep, d) for s in rsubs for d in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(scx.chain, "_homology_basis", greedy_homology_basis)
+            want = [induced_map(cx, s, rep, d) for s in rsubs for d in range(3)]
+        assert got == want, (name, rep.describe())
+
+
+def test_det_form_check_matches_greedy(monkeypatch):
+    cut = fibered_cut()
+    w_cx = cut["w_doc"].complex()
+    phi = CohomologyClass(cut["w_doc"].phis["dual"])
+
+    def fields(report):
+        return (report.applicable, report.match, report.reversed_match,
+                report.det_side, report.order_side, report.detail)
+
+    for rep in _small_representations(w_cx.group):
+        for i in range(3):
+            got = det_form_check(w_cx, phi, rep, cut, i)
+            with monkeypatch.context() as m:
+                m.setattr(scx.chain, "_homology_basis", greedy_homology_basis)
+                want = det_form_check(w_cx, phi, rep, cut, i)
+            assert fields(got) == fields(want), (rep.describe(), i)

@@ -95,6 +95,19 @@ class TestEnumerateQuotients:
         assert {q.images for q in trans} == \
             {q.images for q in all_qs if q.transitive}
 
+    def test_generator_free_transitive_filter(self):
+        # the only map of the trivial group to S_n (n >= 2) is intransitive
+        pres = GroupPresentation((), ())
+        assert [q.degree for q in enumerate_quotients(pres, 4)] == [2, 3, 4]
+        assert list(enumerate_quotients(pres, 4, transitive_only=True)) == []
+
+    def test_elements_in_breadth_first_order(self):
+        a, b = perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)
+        q = permutation_quotient(FREE2, 3, {"a": "(1 2)", "b": "(1 2 3)"})
+        assert q.elements[:3] == ((0, 1, 2), a, b)
+        assert q.image_order == 6 and q.transitive
+        assert "elements" not in repr(q)
+
     def test_permutation_quotient_matches_enumeration(self):
         pres = trefoil_pres()
         for q in enumerate_quotients(pres, 3):
@@ -162,6 +175,34 @@ class TestRepresentations:
         with pytest.raises(SizeLimitError):
             regular_representation(q, cap=4)
 
+    def test_regular_cap_counts_only_nontrivial_images(self):
+        trivial, swap = list(enumerate_quotients(FREE1, 2))
+        assert regular_representation(trivial, cap=0).dim == 1
+        assert regular_representation(swap, cap=2).dim == 2
+        with pytest.raises(SizeLimitError):
+            regular_representation(swap, cap=1)
+
+    def test_regular_cap_above_default(self):
+        # S3 wr C2 in S6 has 72 elements, past the default cap of 64
+        pres = GroupPresentation(("a", "b", "c"), ())
+        q = permutation_quotient(pres, 6, {"a": "(1 2 3)", "b": "(1 2)",
+                                           "c": "(1 4)(2 5)(3 6)"})
+        assert q.image_order == 72
+        with pytest.raises(SizeLimitError):
+            regular_representation(q)
+        assert regular_representation(q, cap=100).dim == 72
+
+    def test_regular_runs_no_group_search(self, monkeypatch):
+        import scx.groups
+        q = permutation_quotient(FREE2, 4, {"a": "(1 2)", "b": "(1 2 3 4)"})
+
+        def no_search(*args):
+            raise AssertionError("group search in regular_representation")
+
+        monkeypatch.setattr(scx.groups, "_generated_subgroup", no_search)
+        monkeypatch.setattr(scx.groups, "perm_group_order", no_search)
+        assert regular_representation(q).dim == 24
+
     def test_regular_h0_dimension(self):
         # trefoil -> S3 epimorphism: regular rep has dim 6 and the complex's
         # coinvariants have dimension |G| / |im| = 1
@@ -181,8 +222,7 @@ class TestRepresentations:
         assert rep.dom is GF(2)
 
     def test_degree_one_quotient_is_trivial_rep(self):
-        from scx.groups import FiniteQuotient
-        q = FiniteQuotient(FREE1, 1, ((0,),), True, 1)
+        q = permutation_quotient(FREE1, 1, {})
         rep = permutation_representation(q)
         assert rep.dim == 1
         assert eval_word(rep, (1, 1, -1)) == Matrix.identity(QQ, 1)

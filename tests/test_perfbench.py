@@ -5,6 +5,8 @@
   time, the stamp would never be written and every call would fail.
 - The golden digest of the alex workload's output is checked here too, so
   a change that alters one byte of the twisted orders fails in tier-1.
+- `inputs.py` also gives independent answers for `quotients` (Hall's counts)
+  and the breadth-first image order that the regular representation uses.
 """
 
 import hashlib
@@ -17,7 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from scx.algebra import QQ
 from scx.cli import main
+from scx.groups import (GroupPresentation, enumerate_quotients,
+                        perm_from_cycles, permutation_matrix,
+                        regular_representation)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +72,44 @@ def test_alex_workload_golden_output(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == workload["golden_sha256"]
+
+
+def _inputs(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_quotient_counts_match_hall(capsys, monkeypatch):
+    """Per-degree and transitive counts of `quotients` on the free group of
+    rank 2 against the benchmark's independent formulas."""
+    inputs = _inputs(monkeypatch)
+    for flag, expected in (([], inputs.homs_free(2, 4)),
+                           (["--transitive"], inputs.transitive_free(2, 4))):
+        code = main(["quotients", "bundled:product_T1", "--max-degree", "4",
+                     *flag])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        degrees = [int(line.split()[0].split("=")[1]) for line in lines[:-1]]
+        assert {n: degrees.count(n) for n in expected} == expected
+        assert len(degrees) == sum(expected.values())
+        assert lines[-1] == f"total: {len(degrees)}"
+        if flag:
+            assert all(" transitive" in line for line in lines[:-1])
+
+
+def test_regular_basis_is_the_benchmark_order(monkeypatch):
+    """`FiniteQuotient.elements` is the breadth-first order the alex
+    workload builds its --rep value on, so the action tables agree."""
+    inputs = _inputs(monkeypatch)
+    pres = GroupPresentation(("x", "y"), ())
+    for q in enumerate_quotients(pres, 4):
+        assert list(q.elements) == inputs.shortlex_elements(list(q.images))
+        k, assigns = inputs.regular_perm_spec(pres.gens, q.images).split(":")[1:]
+        cycles = dict(part.split("=") for part in assigns.split(","))
+        for name, m in zip(pres.gens, regular_representation(q).mats):
+            assert m == permutation_matrix(
+                QQ, perm_from_cycles(cycles[name], int(k))), q.describe()
