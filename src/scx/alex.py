@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import (LaurentPoly, LaurentRing, Matrix, _order_from_diagonals,
                       diagonalize_laurent, pid_homology_order, poly_to_str)
-from .chain import CellMap, betti, induced_map, specialize
+from .chain import induced_maps, specialize
 from .groups import (CohomologyClass, Representation, eval_word,
                      make_representation)
 
@@ -155,7 +155,8 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
     The formula has two hypotheses, checked in this order.  rho must fix the
     stable letter: under t^phi * rho the gluing map is t * right followed by
     rho(stable) on the coefficients, and the formula leaves rho(stable) out.
-    And b_i of the two sides must agree, so that the pencil is square.  The
+    And b_i of the two sides must agree, so that the pencil is square: the
+    map induced by iota_l, from H_i(R-) to H_i(X-), is square.  The
     determinant is taken up to a unit, as the order of the cokernel of the
     pencil over the PID F[t^±1].
     """
@@ -164,23 +165,15 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
                              LaurentRing(rep_w.dom),
                              "rho moves the stable letter")
     xminus = cut["xminus"]
-    iota_l: CellMap = cut["iota_l"]
-    iota_r: CellMap = cut["iota_r"]
     rep_x = make_representation(
         xminus.group, [eval_word(rep_w, w) for w in cut["x_in_w"]],
         provenance=rep_w.provenance, unitary=rep_w.unitary)
-    rep_r = make_representation(
-        iota_l.source.group, [eval_word(rep_x, w) for w in iota_l.gen_words],
-        provenance=rep_w.provenance, unitary=rep_w.unitary)
-    b_r = betti(specialize(iota_l.source, rep_r, None))
-    b_x = betti(specialize(xminus, rep_x, None))
-    if b_r[i] != b_x[i]:
+    m_l, m_r = induced_maps(xminus, (cut["iota_l"], cut["iota_r"]), rep_x, i)
+    if m_l.m != m_l.n:
         return DetFormReport(False, None, None, None, None,
                              LaurentRing(rep_w.dom),
-                             f"b_{i}(R-) = {b_r[i]} differs from"
-                             f" b_{i}(X-) = {b_x[i]}")
-    m_l = induced_map(xminus, iota_l, rep_x, i)
-    m_r = induced_map(xminus, iota_r, rep_x, i)
+                             f"b_{i}(R-) = {m_l.n} differs from"
+                             f" b_{i}(X-) = {m_l.m}")
     ring = LaurentRing(rep_x.dom)
     rows = [[ring.add(ring.monomial(m_l.rows[a][b], 0),
                       ring.monomial(rep_x.dom.neg(m_r.rows[a][b]), 1))

@@ -576,42 +576,49 @@ def _homology_coords(B: Matrix, reps: Matrix, vectors: Matrix) -> Matrix:
     return sol.row_subset(list(range(B.n, B.n + reps.n)))
 
 
-def induced_map(cx, source, rep, degree) -> Matrix:
-    """Matrix of the map induced on twisted homology in the given degree.
+def induced_maps(cx, sources, rep, degree) -> list:
+    """Matrices of the maps induced on twisted homology in the given degree,
+    one per source, from one specialization of cx and one homology basis.
 
-    `source` is a SubcomplexRef of cx (literal inclusion) or a CellMap into
-    cx.  Bases are the canonical echelon kernel/quotient bases, so the
-    resulting matrix is reproducible; it depends on the rebasing words frozen
-    in the data, while its rank does not.
+    Each source is a SubcomplexRef of cx (literal inclusion) or a CellMap
+    into cx.  Bases are the canonical echelon kernel/quotient bases, so the
+    resulting matrices are reproducible; they depend on the rebasing words
+    frozen in the data, while their ranks do not.
     """
     full = specialize(cx, rep, None)
-    if isinstance(source, SubcomplexRef):
-        sub = _restrict(cx, full, source)
-        positions = _positions(cx.cells[degree], source.cells, rep.dim)
-        T = _embedding_matrix(full.dom, positions, full.k * full.n_cells(degree))
-        src = sub
-    elif isinstance(source, CellMap):
-        if source.target is not cx:
-            raise ChainError("cell map target mismatch")
-        src_rep = pullback_representation(source, rep)
-        src = specialize(source.source, src_rep, None)
-        ev = _RepEvaluator(rep)
-        T_by_deg = {d: _block_matrix(ev, full.cells[d], src.cells[d],
-                                     source.cell_images)
-                    for d in range(MAX_DIM + 1)}
-        for d in range(1, MAX_DIM + 1):
-            lhs = full.boundary_matrix(d) * T_by_deg[d]
-            rhs = T_by_deg[d - 1] * src.boundary_matrix(d)
-            if lhs != rhs:
-                raise ChainError("cell map is not chain-level compatible under"
-                                 " this representation")
-        T = T_by_deg[degree]
-    else:
-        raise ChainError("source must be a SubcomplexRef or CellMap")
-    src_reps, _ = _homology_basis(src, degree)
+    pushed = []
+    for source in sources:
+        if isinstance(source, SubcomplexRef):
+            src = _restrict(cx, full, source)
+            positions = _positions(cx.cells[degree], source.cells, rep.dim)
+            T = _embedding_matrix(full.dom, positions,
+                                  full.k * full.n_cells(degree))
+        elif isinstance(source, CellMap):
+            if source.target is not cx:
+                raise ChainError("cell map target mismatch")
+            src_rep = pullback_representation(source, rep)
+            src = specialize(source.source, src_rep, None)
+            ev = _RepEvaluator(rep)
+            T_by_deg = {d: _block_matrix(ev, full.cells[d], src.cells[d],
+                                         source.cell_images)
+                        for d in range(MAX_DIM + 1)}
+            for d in range(1, MAX_DIM + 1):
+                lhs = full.boundary_matrix(d) * T_by_deg[d]
+                rhs = T_by_deg[d - 1] * src.boundary_matrix(d)
+                if lhs != rhs:
+                    raise ChainError("cell map is not chain-level compatible"
+                                     " under this representation")
+            T = T_by_deg[degree]
+        else:
+            raise ChainError("source must be a SubcomplexRef or CellMap")
+        pushed.append(T * _homology_basis(src, degree)[0])
     tgt_reps, tgt_B = _homology_basis(full, degree)
-    pushed = T * src_reps
-    return _homology_coords(tgt_B, tgt_reps, pushed)
+    return [_homology_coords(tgt_B, tgt_reps, v) for v in pushed]
+
+
+def induced_map(cx, source, rep, degree) -> Matrix:
+    """`induced_maps` for one source."""
+    return induced_maps(cx, (source,), rep, degree)[0]
 
 
 def _embedding_matrix(dom, positions, total) -> Matrix:

@@ -265,7 +265,7 @@ def cmd_homology(args):
 def cmd_certify_taut(args):
     doc = load_document(args.file)
     sc = SuturedComplex(doc)
-    verdict = certify_taut(sc, max_degree=args.max_degree)
+    verdict = certify_taut(sc)
     print(verdict.report())
     return EX_OK if verdict.status == "certified-taut" else EX_UNKNOWN
 
@@ -292,8 +292,11 @@ def cmd_double(args):
     sc = SuturedComplex(doc)
     result = double(sc)
     text = serialize_scx(result.document)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {args.output}: {e.strerror or e}") from e
     dm = result.complex()
     print(f"wrote {args.output}")
     print(f"chi = {dm.euler_characteristic()}")
@@ -353,8 +356,9 @@ def build_parser() -> _Parser:
                    help="q, f2, f3, f5, ...")
 
     p = add("certify-taut", cmd_certify_taut,
-            help="search for a vanishing certificate")
-    p.add_argument("--max-degree", type=_max_degree, default=4)
+            help="test the trivial representation for a certificate")
+    p.add_argument("--max-degree", type=_max_degree, default=4,
+                   help="accepted (>= 1) but has no effect")
 
     p = add("nonproduct", cmd_nonproduct, help="search for a non-product"
             " certificate")

@@ -3,10 +3,11 @@ obstruction, complexity lower bounds and the double construction.
 
 Irreducibility and the excluded shapes (a solid torus, a ball) cannot be
 decided from a chain complex, so they are user-asserted metadata and every
-verdict records which assertions it is conditional on.  Certification search
-uses permutation representations (unitary over C by construction); the
-non-product search additionally uses regular representations of quotients,
-where the subgroup-index argument lives.
+verdict records which assertions it is conditional on.  Certification tests
+the trivial representation over Q only: no permutation representation can
+certify where it fails (see `certify_taut`).  The non-product search uses
+regular representations of quotients, where the subgroup-index argument
+lives.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from fractions import Fraction
 from .algebra import QQ
 from .chain import ChainError, SubcomplexRef, betti, specialize
 from .groups import (CohomologyClass, enumerate_quotients, eval_word_perm,
-                     perm_group_order, permutation_representation,
-                     regular_representation, trivial_representation,
-                     word_inv, word_mul)
+                     perm_group_order, regular_representation,
+                     trivial_representation, word_inv, word_mul)
 from .scxio import ScxDocument
 
 
@@ -180,14 +180,19 @@ def validate(sc: SuturedComplex) -> ValidationReport:
 # tautness certificate
 
 
-def certify_taut(sc: SuturedComplex, max_degree: int = 4) -> Verdict:
-    """Search permutation representations over Q for b1(M, R-) = 0.
+def certify_taut(sc: SuturedComplex) -> Verdict:
+    """Test b1(M, R-) = 0 under the trivial representation over Q.
 
     Preconditions (the criterion's hypotheses): balanced, irreducibility
     asserted, excluded shapes not declared.  On success the witness carries
-    the representation, the vanishing pair vector and b(M, R+).  Exhaustion
-    returns "unknown": a vanishing certificate is guaranteed to exist for
-    taut inputs, but no bound on the quotient size is available.
+    the representation, the vanishing pair vector and b(M, R+); otherwise
+    the verdict is "unknown".
+
+    No permutation representation can certify where the trivial one fails:
+    since n is invertible in Q, Q^n = Q.(1, ..., 1) + A (A the sum-zero
+    vectors) as modules over the group.  The twisted chains split the same
+    way, so b1(perm) = b1(trivial) + b1(A) >= b1(trivial) > 0, also for
+    intransitive quotients.
     """
     if not sc.has_sutured_structure():
         raise PreconditionError("no R-/R+ sutured structure declared")
@@ -203,29 +208,17 @@ def certify_taut(sc: SuturedComplex, max_degree: int = 4) -> Verdict:
     if sc.excluded_ball:
         raise PreconditionError("declared D3: excluded case, the criterion"
                                 " does not apply")
-    rminus = sc.rminus()
-
-    def try_rep(rep, label):
-        bv = betti(specialize(sc.cx, rep, rminus))
-        if bv[1] == 0:
-            bplus = betti(specialize(sc.cx, rep, sc.rplus()))
-            return {"representation": label, "k": rep.dim,
-                    "b_pair_rminus": str(bv), "b_pair_rplus": str(bplus),
-                    "unitary": rep.unitary, "assumptions": sc.assumptions()}
-        return None
-
+    log = {"degrees": "trivial only", "representations_tested": 1}
     trivial = trivial_representation(sc.cx.group, 1, QQ)
-    witness = try_rep(trivial, "trivial k=1")
-    if witness is not None:
-        return Verdict("certified-taut", witness,
-                       {"degrees": "trivial only", "representations_tested": 1})
-    log = {"degrees": f"2..{max_degree}", "representations_tested": 1}
-    for q in enumerate_quotients(sc.cx.group, max_degree):
-        log["representations_tested"] += 1
-        witness = try_rep(permutation_representation(q), q.describe())
-        if witness is not None:
-            return Verdict("certified-taut", witness, log)
-    return Verdict("unknown", None, log)
+    bv = betti(specialize(sc.cx, trivial, sc.rminus()))
+    if bv[1] != 0:
+        return Verdict("unknown", None, log)
+    bplus = betti(specialize(sc.cx, trivial, sc.rplus()))
+    return Verdict("certified-taut",
+                   {"representation": "trivial k=1", "k": trivial.dim,
+                    "b_pair_rminus": str(bv), "b_pair_rplus": str(bplus),
+                    "unitary": trivial.unitary, "assumptions": sc.assumptions()},
+                   log)
 
 
 # ---------------------------------------------------------------------------

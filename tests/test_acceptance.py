@@ -176,7 +176,7 @@ def test_c07_bound_and_certificate(capsys):
     report = complexity_lower_bound(sc, rep)
     assert report.bound == Fraction(1) and report.sharp
     assert report.chi_minus_rminus == 1 and report.chi_minus_rplus == 1
-    verdict = certify_taut(sc, 2)
+    verdict = certify_taut(sc)
     assert verdict.status == "certified-taut"
     assert verdict.witness["representation"] == "trivial k=1"
     code = main(["certify-taut", "bundled:product_T1"])

@@ -130,6 +130,24 @@ class TestVerdictCommands:
                            "--max-degree", "2")
         assert code == EX_UNKNOWN and "unknown" in out
 
+    def test_certify_max_degree_has_no_effect(self, capsys, tmp_path):
+        """--max-degree is accepted and checked, but only the trivial
+        representation is tested."""
+        from scx.cli import load_document
+        from scx.scxio import serialize_scx
+        doc = load_document("bundled:meridional_solidtorus")
+        doc.metas["excluded_s1xd2"] = "0"
+        path = tmp_path / "lie.scx"
+        path.write_text(serialize_scx(doc))
+        code, out, _ = run(capsys, "certify-taut", str(path),
+                           "--max-degree", "2")
+        assert code == EX_UNKNOWN
+        assert "search.degrees: trivial only" in out.splitlines()
+        assert "search.representations_tested: 1" in out.splitlines()
+        code, out, err = run(capsys, "certify-taut", str(path),
+                             "--max-degree", "0")
+        assert code == EX_USAGE and err.startswith("usage error:")
+
     def test_nonproduct_slope2(self, capsys):
         code, out, _ = run(capsys, "nonproduct", "bundled:slope2_solidtorus",
                            "--max-degree", "2")
@@ -164,6 +182,16 @@ class TestOtherCommands:
         assert code == EX_OK and "chi = 0" in out and "t=1" in out
         code, out, _ = run(capsys, "check", str(out_path))
         assert code == EX_OK
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_double_unwritable_output(self, capsys, tmp_path, where):
+        target = (tmp_path / "no" / "such" / "dm.scx" if where == "missing_dir"
+                  else tmp_path)
+        code, out, err = run(capsys, "double", "bundled:slope2_solidtorus",
+                             "-o", str(target))
+        assert code == EX_USAGE and out == ""
+        assert err.startswith(f"usage error: cannot write {target}:")
+        assert "Traceback" not in err
 
     def test_alex_trefoil(self, capsys):
         code, out, _ = run(capsys, "alex", "bundled:trefoil", "--phi", "ab",

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+import scx.alex
 import scx.chain
 from scx.algebra import (GF, QQ, LaurentRing, Matrix, pid_homology_order,
                          rank, rref)
@@ -482,3 +483,29 @@ def test_det_form_check_matches_greedy(monkeypatch):
                 m.setattr(scx.chain, "_homology_basis", greedy_homology_basis)
                 want = det_form_check(w_cx, phi, rep, cut, i)
             assert fields(got) == fields(want), (rep.describe(), i)
+
+
+def test_det_form_check_specializes_four_times(monkeypatch):
+    """One specialization of X- and one of R- per cell map give both induced
+    maps; the fourth is the twisted order's.  A rejected stable letter
+    specializes nothing."""
+    cut = fibered_cut()
+    w_cx = cut["w_doc"].complex()
+    phi = CohomologyClass(cut["w_doc"].phis["dual"])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return specialize(*args, **kwargs)
+
+    monkeypatch.setattr(scx.chain, "specialize", counted)
+    monkeypatch.setattr(scx.alex, "specialize", counted)
+    applicable = 0
+    for rep in _small_representations(w_cx.group):
+        for i in range(3):
+            calls.clear()
+            report = det_form_check(w_cx, phi, rep, cut, i)
+            expected = 4 if report.applicable else 0
+            assert len(calls) == expected, (rep.describe(), i, report.detail)
+            applicable += report.applicable
+    assert applicable > 0

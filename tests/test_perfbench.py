@@ -5,6 +5,9 @@
   time, the stamp would never be written and every call would fail.
 - The golden digest of the alex workload's output is checked here too, so
   a change that alters one byte of the twisted orders fails in tier-1.
+- The deterministic checks the benchmark makes on a traced call (counts
+  and the span tree) run here on small inputs, so a change that breaks
+  them fails in tier-1 rather than only in the benchmark.
 - `inputs.py` also gives independent answers for `quotients` (Hall's counts)
   and the breadth-first image order that the regular representation uses.
 """
@@ -15,6 +18,7 @@ import json
 import marshal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,6 +59,43 @@ def test_child_traces_thurston_bound(tmp_path):
     record = marshal.loads(result.read_bytes())
     assert isinstance(record["entry"], float)
     assert "alex.thurston_bound" in {span[2] for span in record["spans"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonproduct", "bundled:product_A1", "--max-degree", "4"],
+    ["nonproduct", "bundled:product_T1", "--max-degree", "3"],
+    ["quotients", "bundled:product_T1", "--max-degree", "3"]],
+    ids=["nonproduct-A1-d4", "nonproduct-T1-d3", "quotients-T1-d3"])
+def test_traced_counts_are_consistent(tmp_path, argv):
+    """The deterministic checks the benchmark makes on a traced call: the
+    enumerator yields what the program counts, every betti call makes five
+    rank calls, and every span hangs from the one `cli.main` span.
+    Coverage depends on timing and is not checked here."""
+    result = tmp_path / "result.bin"
+    proc = _child("traced", result, argv)
+    assert proc.returncode in (0, 2), proc.stderr
+    spans = marshal.loads(result.read_bytes())["spans"]
+    by_id = {sid: (parent, name) for sid, parent, name, *_ in spans}
+    roots = [sid for sid, (parent, name) in by_id.items() if parent == 0]
+    assert [by_id[sid][1] for sid in roots] == ["cli.main"]
+    for sid in by_id:
+        while by_id[sid][0] != 0:
+            sid = by_id[sid][0]
+        assert sid == roots[0]
+    key = ("search.representations_tested:" if argv[0] == "nonproduct"
+           else "total:")
+    counted = [int(line.split(":", 1)[1]) for line in proc.stdout.splitlines()
+               if line.startswith(key)]
+    items = sum(1 for _, _, name, _, _, extra in spans
+                if name == "groups.enumerate_quotients" and extra == ["item"])
+    assert counted == [items]
+    betti_calls = [sid for sid, (_, name) in by_id.items()
+                   if name == "chain.betti"]
+    ranks = [parent for parent, name in by_id.values()
+             if name == "algebra.rank"]
+    assert len(ranks) == 5 * len(betti_calls)
+    per_betti = Counter(ranks)
+    assert all(per_betti[sid] == 5 for sid in betti_calls)
 
 
 def test_alex_workload_golden_output(tmp_path, capsys, monkeypatch):

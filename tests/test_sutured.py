@@ -2,6 +2,7 @@
 
 import pytest
 
+import scx.sutured
 from scx.algebra import QQ
 from scx.chain import betti, specialize, untwisted_homology
 from scx.cli import load_document
@@ -11,6 +12,8 @@ from scx.groups import (enumerate_quotients, eval_word_perm, perm_group_order,
 from scx.sutured import (PreconditionError, SuturedComplex, Verdict,
                          certify_taut, complexity_lower_bound, double,
                          nonproduct_search, validate)
+
+from conftest import SUTURED_BUNDLED
 
 MV_B1 = {"product_D2": 1, "product_A1": 2, "product_T1": 3,
          "meridional_solidtorus": 3, "slope2_solidtorus": 2,
@@ -50,7 +53,7 @@ class TestValidate:
 
 class TestCertifyTaut:
     def test_product_T1(self, sutured):
-        verdict = certify_taut(sutured["product_T1"], 2)
+        verdict = certify_taut(sutured["product_T1"])
         assert verdict.status == "certified-taut"
         assert verdict.witness["representation"] == "trivial k=1"
         assert verdict.witness["b_pair_rminus"] == "(0, 0, 0, 0)"
@@ -58,29 +61,93 @@ class TestCertifyTaut:
 
     def test_meridional_refused(self, sutured):
         with pytest.raises(PreconditionError):
-            certify_taut(sutured["meridional_solidtorus"], 2)
+            certify_taut(sutured["meridional_solidtorus"])
 
     def test_d3_refused(self, sutured):
         with pytest.raises(PreconditionError):
-            certify_taut(sutured["d3_two_sutures"], 2)
+            certify_taut(sutured["d3_two_sutures"])
 
     def test_not_irreducible_refused(self):
         doc = load_document("bundled:product_T1")
         doc.metas["irreducible"] = "0"
         with pytest.raises(PreconditionError):
-            certify_taut(SuturedComplex(doc), 2)
+            certify_taut(SuturedComplex(doc))
 
     def test_slope2_certified(self, sutured):
-        verdict = certify_taut(sutured["slope2_solidtorus"], 2)
+        verdict = certify_taut(sutured["slope2_solidtorus"])
         assert verdict.status == "certified-taut"
         assert verdict.witness["representation"] == "trivial k=1"
 
     def test_unknown_on_exhaustion(self):
         doc = load_document("bundled:meridional_solidtorus")
         doc.metas["excluded_s1xd2"] = "0"    # lie about the shape
-        verdict = certify_taut(SuturedComplex(doc), 2)
+        verdict = certify_taut(SuturedComplex(doc))
         assert verdict.status == "unknown"
         assert verdict.witness is None
+
+    @pytest.mark.parametrize("name", ["product_T1", "slope2_solidtorus", "lie"])
+    @pytest.mark.parametrize("max_degree", [2, 3, 4])
+    def test_matches_permutation_search(self, sutured, name, max_degree):
+        """The permutation search that followed a failed trivial test never
+        changed a status or a witness."""
+        sc = lie_input() if name == "lie" else sutured[name]
+        verdict = certify_taut(sc)
+        assert (verdict.status, verdict.witness) == oracle_certify_taut(
+            sc, max_degree)
+
+    def test_enumerates_no_quotient(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("certify_taut enumerated quotients")
+        monkeypatch.setattr(scx.sutured, "enumerate_quotients", refuse)
+        verdict = certify_taut(lie_input())
+        assert verdict.status == "unknown"
+        assert verdict.log == {"degrees": "trivial only",
+                               "representations_tested": 1}
+
+
+def lie_input():
+    """The meridional solid torus without its excluded-shape flag: it passes
+    every precondition and fails the trivial test."""
+    doc = load_document("bundled:meridional_solidtorus")
+    doc.metas["excluded_s1xd2"] = "0"
+    return SuturedComplex(doc)
+
+
+def oracle_certify_taut(sc, max_degree):
+    """(status, witness) of the earlier certify_taut: the trivial
+    representation, then every permutation representation of degree at most
+    max_degree.  The preconditions are left out; callers pass inputs that
+    meet them."""
+    rminus = sc.rminus()
+    reps = [(trivial_representation(sc.cx.group, 1, QQ), "trivial k=1")]
+    reps += [(permutation_representation(q), q.describe())
+             for q in enumerate_quotients(sc.cx.group, max_degree)]
+    for rep, label in reps:
+        bv = betti(specialize(sc.cx, rep, rminus))
+        if bv[1] == 0:
+            bplus = betti(specialize(sc.cx, rep, sc.rplus()))
+            return "certified-taut", {
+                "representation": label, "k": rep.dim,
+                "b_pair_rminus": str(bv), "b_pair_rplus": str(bplus),
+                "unitary": rep.unitary, "assumptions": sc.assumptions()}
+    return "unknown", None
+
+
+@pytest.mark.parametrize("name", SUTURED_BUNDLED + ["lie"])
+def test_permutation_betti_dominates_trivial(sutured, name):
+    """certify_taut's soundness argument: Q^n = Q + (sum-zero part) as
+    modules over the group, so b_i under a permutation representation is at
+    least b_i under the trivial one, for M, (M, R-) and (M, R+) and for
+    intransitive quotients too.  Checked on the complex, with no
+    preconditions."""
+    sc = lie_input() if name == "lie" else sutured[name]
+    trivial = trivial_representation(sc.cx.group, 1, QQ)
+    for rel in (None, sc.rminus(), sc.rplus()):
+        base = betti(specialize(sc.cx, trivial, rel))
+        for q in enumerate_quotients(sc.cx.group, 3):
+            bv = betti(specialize(sc.cx, permutation_representation(q), rel))
+            assert all(p >= t for p, t in zip(bv, base)), (
+                name, rel and rel.name, q.describe(), str(bv), str(base))
 
 
 class TestNonproduct:
