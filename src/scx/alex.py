@@ -9,11 +9,11 @@ None, never as arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LaurentPoly, LaurentRing, Matrix, _order_from_diagonals,
-                      diagonalize_laurent, pid_homology_order, poly_to_str)
+from .algebra import (Frozen, LaurentPoly, LaurentRing, Matrix,
+                      _order_from_diagonals, _setattr, diagonalize_laurent,
+                      pid_homology_order, poly_to_str)
 from .chain import induced_maps, specialize
 from .groups import (CohomologyClass, Representation, eval_word,
                      make_representation)
@@ -23,11 +23,11 @@ class AlexError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AlexOrder:
-    i: int
-    poly: LaurentPoly
-    ring: LaurentRing
+class AlexOrder(Frozen):
+    def __init__(self, i: int, poly: LaurentPoly, ring: LaurentRing):
+        _setattr(self, "i", i)
+        _setattr(self, "poly", poly)
+        _setattr(self, "ring", ring)
 
     @property
     def deg(self):
@@ -94,12 +94,13 @@ def twisted_alexander(cx, phi: CohomologyClass, rep: Representation,
     return twisted_orders(cx, phi, rep, (i,))[0]
 
 
-@dataclass(frozen=True)
-class ThurstonReport:
-    orders: tuple
-    bound: Fraction | None
-    reason: str
-    k: int
+class ThurstonReport(Frozen):
+    def __init__(self, orders: tuple, bound: Fraction | None, reason: str,
+                 k: int):
+        _setattr(self, "orders", orders)
+        _setattr(self, "bound", bound)
+        _setattr(self, "reason", reason)
+        _setattr(self, "k", k)
 
     def __str__(self):
         lines = [str(o) for o in self.orders]
@@ -123,15 +124,18 @@ def thurston_bound(cx, phi: CohomologyClass, rep: Representation) -> ThurstonRep
     return ThurstonReport(orders, max(raw, Fraction(0)), "", rep.dim)
 
 
-@dataclass(frozen=True)
-class DetFormReport:
-    applicable: bool
-    match: bool | None
-    reversed_match: bool | None
-    det_side: LaurentPoly | None
-    order_side: LaurentPoly | None
-    ring: LaurentRing
-    detail: str
+class DetFormReport(Frozen):
+    def __init__(self, applicable: bool, match: bool | None,
+                 reversed_match: bool | None, det_side: LaurentPoly | None,
+                 order_side: LaurentPoly | None, ring: LaurentRing,
+                 detail: str):
+        _setattr(self, "applicable", applicable)
+        _setattr(self, "match", match)
+        _setattr(self, "reversed_match", reversed_match)
+        _setattr(self, "det_side", det_side)
+        _setattr(self, "order_side", order_side)
+        _setattr(self, "ring", ring)
+        _setattr(self, "detail", detail)
 
     def __str__(self):
         if not self.applicable:
@@ -195,12 +199,13 @@ def _substitute_inverse(ring: LaurentRing, p: LaurentPoly) -> LaurentPoly:
     return ring.unit_canonical(flipped)
 
 
-@dataclass(frozen=True)
-class DetabReport:
-    size: int
-    degree: int | None
-    det_a_nonzero: bool
-    det_b_nonzero: bool
+class DetabReport(Frozen):
+    def __init__(self, size: int, degree: int | None, det_a_nonzero: bool,
+                 det_b_nonzero: bool):
+        _setattr(self, "size", size)
+        _setattr(self, "degree", degree)
+        _setattr(self, "det_a_nonzero", det_a_nonzero)
+        _setattr(self, "det_b_nonzero", det_b_nonzero)
 
     @property
     def equivalence_holds(self) -> bool:

@@ -15,13 +15,29 @@ minor proves; every other rank over Q is the pivot count of the exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 
 class AlgebraError(Exception):
     pass
+
+
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass sets its fields once in `__init__` with `_setattr`
+    (`object.__setattr__`); any later assignment or deletion raises.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +199,25 @@ def field_by_tag(tag: str):
     raise AlgebraError(f"unknown field tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Canonical Laurent polynomial: coeffs[0] is the coefficient of t^low.
 
     The coefficient tuple has nonzero first and last entry, and the zero
-    polynomial is the empty tuple with low = 0.
+    polynomial is the empty tuple with low = 0, so == and hash compare
+    values.
     """
 
-    low: int
-    coeffs: tuple
+    def __init__(self, low: int, coeffs: tuple):
+        _setattr(self, "low", low)
+        _setattr(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.low == other.low and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.low, self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs

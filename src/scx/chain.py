@@ -15,10 +15,8 @@ time (monomial arithmetic modulo the relator exponent lattice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import (QQ, Matrix, kernel_basis, rank, rref, snf_integers,
-                      solve)
+from .algebra import (QQ, Frozen, Matrix, _setattr, kernel_basis, rank, rref,
+                      snf_integers, solve)
 from .groups import (GroupPresentation, Representation, eval_word,
                      trivial_representation, word_inv, word_mul,
                      word_exponent_vector)
@@ -35,10 +33,10 @@ class SpecializeError(ChainError):
 MAX_DIM = 3
 
 
-@dataclass(frozen=True)
-class SubcomplexRef:
-    name: str
-    cells: frozenset
+class SubcomplexRef(Frozen):
+    def __init__(self, name: str, cells: frozenset):
+        _setattr(self, "name", name)
+        _setattr(self, "cells", cells)
 
 
 class EquivariantComplex:
@@ -276,12 +274,12 @@ def _ab_reduce(vec, lattice):
 # specialization
 
 
-@dataclass(frozen=True)
-class TwistedComplex:
-    dom: object
-    k: int
-    cells: dict
-    mats: dict = field(repr=False)
+class TwistedComplex(Frozen):
+    def __init__(self, dom, k: int, cells: dict, mats: dict):
+        _setattr(self, "dom", dom)
+        _setattr(self, "k", k)
+        _setattr(self, "cells", cells)
+        _setattr(self, "mats", mats)
 
     def n_cells(self, d) -> int:
         return len(self.cells.get(d, ()))
@@ -295,11 +293,23 @@ class TwistedComplex:
                             self.k * self.n_cells(d))
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    b: tuple
-    k: int
-    field_name: str
+class BettiVector(Frozen):
+    """Betti numbers b_0..b_3 under a k-dimensional representation over
+    the named field; == and hash compare all three."""
+
+    def __init__(self, b: tuple, k: int, field_name: str):
+        _setattr(self, "b", b)
+        _setattr(self, "k", k)
+        _setattr(self, "field_name", field_name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.b, self.k, self.field_name) == (other.b, other.k,
+                                                     other.field_name)
+
+    def __hash__(self):
+        return hash((self.b, self.k, self.field_name))
 
     def __iter__(self):
         return iter(self.b)
@@ -401,11 +411,11 @@ def betti(tc: TwistedComplex) -> BettiVector:
 # the standard checks
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    ok: bool
-    details: dict
+class CheckReport(Frozen):
+    def __init__(self, name: str, ok: bool, details: dict):
+        _setattr(self, "name", name)
+        _setattr(self, "ok", ok)
+        _setattr(self, "details", details)
 
     def __str__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.details.items())
@@ -537,15 +547,16 @@ def _rank_mod(span: Matrix, modulo: Matrix) -> int:
 # induced maps on homology
 
 
-@dataclass(frozen=True)
-class CellMap:
+class CellMap(Frozen):
     """Chain-level map between complexes: a word homomorphism plus per-cell
     images with rebasing words."""
 
-    source: EquivariantComplex
-    target: EquivariantComplex
-    gen_words: tuple
-    cell_images: dict
+    def __init__(self, source: EquivariantComplex, target: EquivariantComplex,
+                 gen_words: tuple, cell_images: dict):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "gen_words", gen_words)
+        _setattr(self, "cell_images", cell_images)
 
 
 def pullback_representation(cmap: CellMap, rep: Representation) -> Representation:

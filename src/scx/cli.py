@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from .algebra import QQ, AlgebraError, Matrix, field_by_tag
 from .chain import ChainError, betti, euler_check, h0_vanishing_check, specialize
@@ -40,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def bundled_names():
+    from importlib import resources
     return sorted(p.name[:-4] for p in resources.files("scx.data").iterdir()
                   if p.name.endswith(".scx"))
 
@@ -54,6 +54,7 @@ def _read_text(path: str) -> str:
 
 def load_document(spec: str):
     if spec.startswith("bundled:"):
+        from importlib import resources
         name = spec.split(":", 1)[1]
         ref = resources.files("scx.data") / f"{name}.scx"
         if not ref.is_file():

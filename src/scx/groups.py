@@ -11,10 +11,9 @@ whether it lands in S_n or in GL(k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import QQ, AlgebraError, Matrix, inverse
+from .algebra import QQ, AlgebraError, Frozen, Matrix, _setattr, inverse
 
 
 class GroupError(Exception):
@@ -56,20 +55,33 @@ def word_exponent_vector(word, ngens) -> tuple:
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Finite presentation; relator words reference declared generators only."""
+class GroupPresentation(Frozen):
+    """Finite presentation; relator words reference declared generators only.
 
-    gens: tuple
-    relators: tuple
+    == and hash compare the generator names and relator words.
+    """
 
-    def __post_init__(self):
-        if len(set(self.gens)) != len(self.gens):
+    def __init__(self, gens: tuple, relators: tuple):
+        if len(set(gens)) != len(gens):
             raise GroupError("duplicate generator names")
-        for r in self.relators:
+        for r in relators:
             for k in r:
-                if not 1 <= abs(k) <= len(self.gens):
+                if not 1 <= abs(k) <= len(gens):
                     raise GroupError("relator uses undeclared generator")
+        _setattr(self, "gens", gens)
+        _setattr(self, "relators", relators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gens, self.relators) == (other.gens, other.relators)
+
+    def __hash__(self):
+        return hash((self.gens, self.relators))
+
+    def __repr__(self):
+        return (f"GroupPresentation(gens={self.gens!r},"
+                f" relators={self.relators!r})")
 
     @property
     def ngens(self) -> int:
@@ -114,11 +126,11 @@ class GroupPresentation:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Frozen):
     """Integer weight per generator name; must vanish on all relators."""
 
-    values: dict
+    def __init__(self, values: dict):
+        _setattr(self, "values", values)
 
     def weight(self, pres: GroupPresentation, word) -> int:
         total = 0
@@ -250,8 +262,7 @@ def perm_group_order(perms) -> int:
 # quotients
 
 
-@dataclass(frozen=True)
-class FiniteQuotient:
+class FiniteQuotient(Frozen):
     """A homomorphism onto a permutation group, relators checked.
 
     `elements` is the image G in breadth-first order from the identity,
@@ -260,10 +271,25 @@ class FiniteQuotient:
     transitivity and the regular representation are all read off it.
     """
 
-    pres: GroupPresentation
-    degree: int
-    images: tuple
-    elements: tuple = field(repr=False, compare=False)
+    def __init__(self, pres: GroupPresentation, degree: int, images: tuple,
+                 elements: tuple):
+        _setattr(self, "pres", pres)
+        _setattr(self, "degree", degree)
+        _setattr(self, "images", images)
+        _setattr(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.pres, self.degree, self.images)
+                == (other.pres, other.degree, other.images))
+
+    def __hash__(self):
+        return hash((self.pres, self.degree, self.images))
+
+    def __repr__(self):
+        return (f"FiniteQuotient(pres={self.pres!r}, degree={self.degree!r},"
+                f" images={self.images!r})")
 
     @property
     def image_order(self) -> int:
@@ -378,17 +404,18 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
 # representations
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """Generator matrices over an exact domain, relators verified at build."""
 
-    pres: GroupPresentation
-    dim: int
-    dom: object
-    mats: tuple
-    inv_mats: tuple = field(repr=False, default=())
-    provenance: str = "user-supplied"
-    unitary: bool = False
+    def __init__(self, pres: GroupPresentation, dim: int, dom, mats: tuple,
+                 inv_mats: tuple, provenance: str, unitary: bool):
+        _setattr(self, "pres", pres)
+        _setattr(self, "dim", dim)
+        _setattr(self, "dom", dom)
+        _setattr(self, "mats", mats)
+        _setattr(self, "inv_mats", inv_mats)
+        _setattr(self, "provenance", provenance)
+        _setattr(self, "unitary", unitary)
 
     def gen_matrix(self, idx: int, sign: int) -> Matrix:
         return self.mats[idx - 1] if sign > 0 else self.inv_mats[idx - 1]

@@ -21,8 +21,6 @@ formally canceling pairs) since they carry incidence data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chain import EquivariantComplex
 from .groups import GroupPresentation
 
@@ -36,16 +34,26 @@ class ParseError(Exception):
         super().__init__(message + where)
 
 
-@dataclass
 class ScxDocument:
-    version: int = 1
-    gens: tuple = ()
-    relators: tuple = ()          # words over gens
-    cells: tuple = ()             # (name, dim) in declaration order
-    boundaries: dict = field(default_factory=dict)
-    subs: dict = field(default_factory=dict)   # name -> tuple of cell names
-    metas: dict = field(default_factory=dict)  # key -> string value
-    phis: dict = field(default_factory=dict)   # name -> {gen: int}
+    """A parsed .scx file; mutable, and == compares every field."""
+
+    def __init__(self, version: int = 1, gens: tuple = (),
+                 relators: tuple = (), cells: tuple = (),
+                 boundaries: dict | None = None, subs: dict | None = None,
+                 metas: dict | None = None, phis: dict | None = None):
+        self.version = version
+        self.gens = gens
+        self.relators = relators            # words over gens
+        self.cells = cells                  # (name, dim) in declaration order
+        self.boundaries = {} if boundaries is None else boundaries
+        self.subs = {} if subs is None else subs     # name -> cell names
+        self.metas = {} if metas is None else metas  # key -> string value
+        self.phis = {} if phis is None else phis     # name -> {gen: int}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def presentation(self) -> GroupPresentation:
         return GroupPresentation(self.gens, self.relators)
@@ -250,17 +258,18 @@ def serialize_scx(doc: ScxDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class RepDocument:
     """Parsed representation file: trivial / perm / matrix kinds."""
 
-    kind: str
-    dim: int = 1
-    degree: int = 0
-    field_tag: str = "q"
-    perms: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
-    unitary_assertion: bool = False
+    def __init__(self, kind: str, field_tag: str = "q",
+                 unitary_assertion: bool = False):
+        self.kind = kind
+        self.dim = 1
+        self.degree = 0
+        self.field_tag = field_tag
+        self.perms = {}
+        self.matrices = {}
+        self.unitary_assertion = unitary_assertion
 
 
 def _size(key, text, lineno) -> int:

@@ -12,10 +12,9 @@ lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import QQ
+from .algebra import QQ, Frozen, _setattr
 from .chain import ChainError, SubcomplexRef, betti, specialize
 from .groups import (CohomologyClass, enumerate_quotients, eval_word_perm,
                      perm_group_order, regular_representation,
@@ -34,15 +33,13 @@ class PreconditionError(SuturedError):
 VERDICT_STATUSES = ("certified-taut", "certified-not-product", "unknown")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: dict | None
-    log: dict
-
-    def __post_init__(self):
-        if self.status not in VERDICT_STATUSES:
-            raise SuturedError(f"unknown verdict status {self.status!r}")
+class Verdict(Frozen):
+    def __init__(self, status: str, witness: dict | None, log: dict):
+        if status not in VERDICT_STATUSES:
+            raise SuturedError(f"unknown verdict status {status!r}")
+        _setattr(self, "status", status)
+        _setattr(self, "witness", witness)
+        _setattr(self, "log", log)
 
     def report(self) -> str:
         lines = [f"verdict: {self.status}"]
@@ -111,9 +108,9 @@ class SuturedComplex:
         return "; ".join(parts)
 
 
-@dataclass
 class ValidationReport:
-    entries: list = field(default_factory=list)
+    def __init__(self):
+        self.entries = []
 
     def add(self, level: str, message: str):
         self.entries.append((level, message))
@@ -291,15 +288,17 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
 # complexity lower bound
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound: Fraction
-    chi_minus_rminus: int
-    chi_minus_rplus: int
-    b1_rminus: int
-    b1_rplus: int
-    k: int
-    sharp: bool
+class BoundReport(Frozen):
+    def __init__(self, bound: Fraction, chi_minus_rminus: int,
+                 chi_minus_rplus: int, b1_rminus: int, b1_rplus: int, k: int,
+                 sharp: bool):
+        _setattr(self, "bound", bound)
+        _setattr(self, "chi_minus_rminus", chi_minus_rminus)
+        _setattr(self, "chi_minus_rplus", chi_minus_rplus)
+        _setattr(self, "b1_rminus", b1_rminus)
+        _setattr(self, "b1_rplus", b1_rplus)
+        _setattr(self, "k", k)
+        _setattr(self, "sharp", sharp)
 
     def __str__(self):
         lines = [f"x(M,gamma) >= {self.bound}",
@@ -338,11 +337,12 @@ def complexity_lower_bound(sc: SuturedComplex, rep) -> BoundReport:
 # the double
 
 
-@dataclass(frozen=True)
-class DoubleResult:
-    document: ScxDocument
-    phi: CohomologyClass
-    retraction: dict
+class DoubleResult(Frozen):
+    def __init__(self, document: ScxDocument, phi: CohomologyClass,
+                 retraction: dict):
+        _setattr(self, "document", document)
+        _setattr(self, "phi", phi)
+        _setattr(self, "retraction", retraction)
 
     def complex(self) -> EquivariantComplex:
         return self.document.complex()

@@ -133,7 +133,7 @@ class TestLaurent:
 
     def test_prime_field_entries_are_residues(self):
         """Ints outside [0, p) are reduced at construction, so `.rows` and
-        dataclass equality see canonical residues."""
+        LaurentPoly equality see canonical residues."""
         f5 = GF(5)
         assert Matrix.from_rows(f5, [[7, 1]]).rows == [[2, 1]]
         assert Matrix.from_rows(f5, [[-1, -10]]).rows == [[4, 0]]

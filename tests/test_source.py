@@ -1,9 +1,13 @@
-"""Source-level guards: no check in the package relies on `assert`, and
-every hook of the traced benchmark names a function that exists."""
+"""Source-level guards: no check in the package relies on `assert`, every
+hook of the traced benchmark names a function that exists, and importing
+the CLI loads what the commands and the benchmark need and no more."""
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import scx
@@ -47,3 +51,19 @@ def test_benchmark_hooks_resolve():
                 and obj.__module__.split(".")[0] == "scx"):
             missing.append(f"{module}:{qualname}")
     assert not missing, missing
+
+
+def test_cli_import_footprint():
+    """`import scx.cli, scx.alex` in an interpreter without site loads none
+    of the start-up costs the commands do not need, and loads every module
+    `perfbench/child.py` looks up in `sys.modules` before its entry stamp."""
+    src = Path(scx.__file__).resolve().parent.parent
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]);"
+            " import scx.cli, scx.alex; print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
+    traced = {module for module, _ in _child_constants()["TRACED"]}
+    assert traced <= loaded, sorted(traced - loaded)
