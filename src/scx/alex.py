@@ -14,9 +14,8 @@ from fractions import Fraction
 from .algebra import (Frozen, LaurentPoly, LaurentRing, Matrix,
                       _order_from_diagonals, _setattr, diagonalize_laurent,
                       pid_homology_order, poly_to_str)
-from .chain import induced_maps, specialize
-from .groups import (CohomologyClass, Representation, eval_word,
-                     make_representation)
+from .chain import induced_maps, pullback_representation, specialize
+from .groups import CohomologyClass, Representation, eval_word
 
 
 class AlexError(Exception):
@@ -169,9 +168,7 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
                              LaurentRing(rep_w.dom),
                              "rho moves the stable letter")
     xminus = cut["xminus"]
-    rep_x = make_representation(
-        xminus.group, [eval_word(rep_w, w) for w in cut["x_in_w"]],
-        provenance=rep_w.provenance, unitary=rep_w.unitary)
+    rep_x = pullback_representation(xminus.group, cut["x_in_w"], rep_w)
     m_l, m_r = induced_maps(xminus, (cut["iota_l"], cut["iota_r"]), rep_x, i)
     if m_l.m != m_l.n:
         return DetFormReport(False, None, None, None, None,
@@ -179,11 +176,7 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
                              f"b_{i}(R-) = {m_l.n} differs from"
                              f" b_{i}(X-) = {m_l.m}")
     ring = LaurentRing(rep_x.dom)
-    rows = [[ring.add(ring.monomial(m_l.rows[a][b], 0),
-                      ring.monomial(rep_x.dom.neg(m_r.rows[a][b]), 1))
-             for b in range(m_l.n)] for a in range(m_l.m)]
-    det = pid_homology_order(Matrix(ring, rows, m_l.m, m_l.n),
-                             Matrix.zeros(ring, 0, m_l.m))
+    det = _pencil_det(m_l, m_r.map_entries(m_r.dom, m_r.dom.neg))
     order = twisted_alexander(w_cx, phi, rep_w, i)
     rev = _substitute_inverse(ring, order.poly)
     match = ring.eq(det, order.poly)
@@ -230,9 +223,16 @@ def detab_property(a: Matrix, b: Matrix) -> DetabReport:
     if a.m != a.n or b.m != b.n or a.m != b.m:
         raise AlexError("detab_property needs equal square matrices")
     s = a.m
+    return DetabReport(s, _pencil_det(a, b).degree_span(), rank(a) == s,
+                       rank(b) == s)
+
+
+def _pencil_det(a: Matrix, b: Matrix) -> LaurentPoly:
+    """det(A + tB) of square A, B over a field, up to a unit: the order of
+    the cokernel of the pencil over the PID F[t^±1]."""
     ring = LaurentRing(a.dom)
     rows = [[ring.add(ring.monomial(a.rows[i][j], 0),
                       ring.monomial(b.rows[i][j], 1))
-             for j in range(s)] for i in range(s)]
-    det = pid_homology_order(Matrix(ring, rows, s, s), Matrix.zeros(ring, 0, s))
-    return DetabReport(s, det.degree_span(), rank(a) == s, rank(b) == s)
+             for j in range(a.n)] for i in range(a.m)]
+    return pid_homology_order(Matrix(ring, rows, a.m, a.n),
+                              Matrix.zeros(ring, 0, a.m))

@@ -18,8 +18,8 @@ from __future__ import annotations
 from .algebra import (QQ, Frozen, Matrix, _setattr, kernel_basis, rank, rref,
                       snf_integers, solve)
 from .groups import (GroupPresentation, Representation, eval_word,
-                     trivial_representation, word_inv, word_mul,
-                     word_exponent_vector)
+                     make_representation, trivial_representation, word_inv,
+                     word_mul, word_exponent_vector)
 
 
 class ChainError(Exception):
@@ -92,14 +92,8 @@ class EquivariantComplex:
                    for d in range(MAX_DIM + 1))
 
     def edge_ends(self, name):
-        """(head, w_head, tail, w_tail) of a 1-cell; head is the +1 term."""
-        terms = self.boundary[name]
-        if len(terms) != 2 or {terms[0][0], terms[1][0]} != {1, -1}:
-            raise ChainError(f"1-cell {name!r} needs exactly one +1 and one -1"
-                             " vertex term")
-        plus = terms[0] if terms[0][0] == 1 else terms[1]
-        minus = terms[1] if terms[0][0] == 1 else terms[0]
-        return plus[2], plus[1], minus[2], minus[1]
+        """(head, w_head, tail, w_tail) of a 1-cell; see `edge_ends`."""
+        return edge_ends(name, self.boundary[name])
 
     def edge_holonomy(self, name) -> tuple:
         head, wh, tail, wt = self.edge_ends(name)
@@ -141,42 +135,48 @@ class EquivariantComplex:
             groups.setdefault(find(c), []).append(c)
         return [sorted(v) for _, v in sorted(groups.items())]
 
+    def tree_paths(self, base, edges):
+        """Breadth-first spanning tree of `edges` from the vertex `base`.
+
+        Vertices are taken in the order reached and, at each, the edges in
+        sorted order.  Returns (path, tree): the holonomy word of the tree
+        path from base to each reached vertex, and the set of tree edges.
+        """
+        edges = sorted(edges)
+        path = {base: ()}
+        tree = set()
+        frontier = [base]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in edges:
+                    head, _, tail, _ = self.edge_ends(e)
+                    if tail == v and head not in path:
+                        reached, step = head, self.edge_holonomy(e)
+                    elif head == v and tail not in path:
+                        reached, step = tail, word_inv(self.edge_holonomy(e))
+                    else:
+                        continue
+                    path[reached] = word_mul(path[v], step)
+                    tree.add(e)
+                    nxt.append(reached)
+            frontier = nxt
+        return path, tree
+
     def pi1_generator_words(self, cells) -> list:
         """Loop holonomies generating the image of pi_1 of each component.
 
-        Per component: spanning tree of the 1-cells by BFS from the least
-        vertex; each non-tree 1-cell contributes
-        path(base->tail) * g(e) * path(head->base).
+        Per component: `tree_paths` from the least vertex; each non-tree
+        1-cell contributes path(base->tail) * g(e) * path(head->base).
         """
-        cellset = set(cells)
         gens = []
         for comp in self.components(cells):
             verts = [c for c in comp if self._dim[c] == 0]
             edges = [c for c in comp if self._dim[c] == 1]
             if not verts:
                 continue
-            base = verts[0]
-            path = {base: ()}
-            frontier = [base]
-            tree = set()
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for e in sorted(edges):
-                        if e in tree:
-                            continue
-                        head, _, tail, _ = self.edge_ends(e)
-                        g = self.edge_holonomy(e)
-                        if tail == v and head not in path:
-                            path[head] = word_mul(path[v], g)
-                            tree.add(e)
-                            nxt.append(head)
-                        elif head == v and tail not in path:
-                            path[tail] = word_mul(path[v], word_inv(g))
-                            tree.add(e)
-                            nxt.append(tail)
-                frontier = nxt
-            for e in sorted(edges):
+            path, tree = self.tree_paths(verts[0], edges)
+            for e in edges:
                 if e in tree:
                     continue
                 head, _, tail, _ = self.edge_ends(e)
@@ -190,45 +190,40 @@ class EquivariantComplex:
     # -- abelianized d^2 check ------------------------------------------------
 
     def abelian_boundary_check(self):
-        """Verify d^2 = 0 under the abelianization of the group."""
-        lattice = _hnf([list(word_exponent_vector(r, self.group.ngens))
-                        for r in self.group.relators])
+        """Verify d^2 = 0 under the abelianization of the group.
+
+        Each term c1*w1*t of the boundary of a cell of dimension d >= 2 and
+        each term c2*w2*s of the boundary of t add c1*c2 at (s, w1*w2), the
+        word taken modulo the relator lattice; every sum must vanish.
+        """
         ngens = self.group.ngens
-
-        def mono(word):
-            return _ab_reduce(list(word_exponent_vector(word, ngens)), lattice)
-
-        layers = {}
-        for d in range(1, MAX_DIM + 1):
-            idx = {c: i for i, c in enumerate(self.cells[d - 1])}
-            layer = {}
-            for j, cell in enumerate(self.cells[d]):
-                for coeff, word, target in self.boundary[cell]:
-                    key = (idx[target], j)
-                    entry = layer.setdefault(key, {})
-                    m = mono(word)
-                    entry[m] = entry.get(m, 0) + coeff
-                    if entry[m] == 0:
-                        del entry[m]
-            layers[d] = layer
+        lattice = _hnf([list(word_exponent_vector(r, ngens))
+                        for r in self.group.relators])
         for d in range(2, MAX_DIM + 1):
-            lo, hi = layers[d - 1], layers[d]
-            prod = {}
-            for (i, t1), p1 in lo.items():
-                for (t2, j), p2 in hi.items():
-                    if t1 != t2:
-                        continue
-                    entry = prod.setdefault((i, j), {})
-                    for m1, c1 in p1.items():
-                        for m2, c2 in p2.items():
-                            m = _ab_reduce([a + b for a, b in zip(m1, m2)], lattice)
-                            entry[m] = entry.get(m, 0) + c1 * c2
-                            if entry[m] == 0:
-                                del entry[m]
-            for key, entry in prod.items():
-                if entry:
-                    raise ChainError(f"d^2 != 0 under abelianization at degree"
-                                     f" {d}, block {key}")
+            idx = {c: i for i, c in enumerate(self.cells[d - 2])}
+            for j, cell in enumerate(self.cells[d]):
+                sums = {}
+                for c1, w1, t in self.boundary[cell]:
+                    v1 = word_exponent_vector(w1, ngens)
+                    for c2, w2, s in self.boundary[t]:
+                        v2 = word_exponent_vector(w2, ngens)
+                        key = (s, _ab_reduce([a + b for a, b in zip(v1, v2)],
+                                             lattice))
+                        sums[key] = sums.get(key, 0) + c1 * c2
+                for (s, _), total in sums.items():
+                    if total:
+                        raise ChainError(f"d^2 != 0 under abelianization at"
+                                         f" degree {d}, block {(idx[s], j)}")
+
+
+def edge_ends(name, terms):
+    """(head, w_head, tail, w_tail) of the 1-cell `name` with boundary
+    `terms`; head is the +1 term."""
+    if len(terms) != 2 or {terms[0][0], terms[1][0]} != {1, -1}:
+        raise ChainError(f"1-cell {name!r} needs exactly one +1 and one -1"
+                         " vertex term")
+    plus, minus = terms if terms[0][0] == 1 else terms[::-1]
+    return plus[2], plus[1], minus[2], minus[1]
 
 
 def _hnf(rows):
@@ -559,10 +554,10 @@ class CellMap(Frozen):
         _setattr(self, "cell_images", cell_images)
 
 
-def pullback_representation(cmap: CellMap, rep: Representation) -> Representation:
-    from .groups import make_representation
-    mats = [eval_word(rep, w) for w in cmap.gen_words]
-    return make_representation(cmap.source.group, mats,
+def pullback_representation(group, gen_words, rep: Representation) -> Representation:
+    """rep pulled back along the homomorphism that sends generator i of
+    `group` to the word gen_words[i] of rep's group."""
+    return make_representation(group, [eval_word(rep, w) for w in gen_words],
                                provenance=rep.provenance, unitary=rep.unitary)
 
 
@@ -607,7 +602,8 @@ def induced_maps(cx, sources, rep, degree) -> list:
         elif isinstance(source, CellMap):
             if source.target is not cx:
                 raise ChainError("cell map target mismatch")
-            src_rep = pullback_representation(source, rep)
+            src_rep = pullback_representation(source.source.group,
+                                              source.gen_words, rep)
             src = specialize(source.source, src_rep, None)
             ev = _RepEvaluator(rep)
             T_by_deg = {d: _block_matrix(ev, full.cells[d], src.cells[d],

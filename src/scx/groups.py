@@ -438,7 +438,8 @@ def make_representation(pres, mats, provenance="user-supplied",
     except AlgebraError as e:
         raise GroupError(f"generator matrix not invertible: {e}") from e
     rep = Representation(pres, dim, dom, tuple(mats), invs, provenance, unitary)
-    if not check_hom(pres, list(mats)):
+    ident = Matrix.identity(dom, dim)
+    if any(eval_word(rep, r) != ident for r in pres.relators):
         raise GroupError("matrices do not satisfy the relators")
     return rep
 

@@ -1,25 +1,28 @@
 """Builders for the bundled complexes and the constructions behind them.
 
 The lifting rule is centralized in `attach_terms`: a 2-cell attached along a
-sequence of oriented 1-cells gets the boundary terms of the lifted loop, and
-the consistency requirement is that the path-ordered product of the edge
-holonomies dies in the group.  `interval_product` builds X x [-1,1] complexes
-(product sutured models), and the hand-built solid-torus / ball models carry
-their 3-cells, closed with exact formal arithmetic over the free group.
+sequence of oriented 1-cells gets the boundary terms of the lifted loop, read
+off the boundaries of those 1-cells, and the consistency requirement is that
+the path-ordered product of the edge holonomies dies in the group.  Every
+builder attaches its 2-cells through `_attach`, which also checks that
+closure.  `interval_product` builds X x [-1,1] complexes (product sutured
+models), and the hand-built solid-torus / ball models carry their 3-cells,
+closed with exact formal arithmetic over the free group.
 """
 
 from __future__ import annotations
 
-from .chain import ChainError
+from .chain import ChainError, edge_ends
 from .groups import word_inv, word_mul
 from .scxio import ScxDocument
 
 
-def attach_terms(edges, steps):
+def attach_terms(boundaries, steps):
     """Boundary terms of a 2-cell attached along `steps`.
 
-    `edges` maps a 1-cell name to (head, w_head, tail, w_tail); `steps` is a
-    list of (edge name, +1/-1) in traversal order.  Returns (terms, closure):
+    `boundaries` maps each 1-cell name to its boundary terms, whose ends
+    (head, w_head, tail, w_tail) `chain.edge_ends` reads; `steps` is a list
+    of (edge name, +1/-1) in traversal order.  Returns (terms, closure):
     the closure word is the edge-holonomy product in reverse traversal order
     (the lift bookkeeping runs right to left) and must map to the identity
     under any representation later applied.
@@ -31,7 +34,7 @@ def attach_terms(edges, steps):
     terms = []
     p = ()
     for name, sign in steps:
-        head, wh, tail, wt = edges[name]
+        head, wh, tail, wt = edge_ends(name, boundaries[name])
         if sign > 0:
             u = word_mul(word_inv(wt), p)
             terms.append((1, u, name))
@@ -41,6 +44,16 @@ def attach_terms(edges, steps):
             terms.append((-1, u, name))
             p = word_mul(wt, u)
     return terms, p
+
+
+def _attach(cells, boundaries, name, steps, closure=()):
+    """Append the 2-cell `name` attached along `steps` to `cells` and
+    `boundaries`, after checking that its loop closes to `closure`."""
+    terms, got = attach_terms(boundaries, steps)
+    if got != closure:
+        raise ChainError(f"2-cell {name} does not close")
+    cells.append((name, 2))
+    boundaries[name] = tuple(terms)
 
 
 def relator_steps(gen_names, relator):
@@ -114,18 +127,12 @@ def presentation_complex(gen_names, relator_texts, phi=None, phi_name="ab",
     doc.relators = relators
     cells = [("v", 0)]
     boundaries = {}
-    edges = {}
     for i, g in enumerate(gen_names, start=1):
         cells.append((g, 1))
         boundaries[g] = ((1, (i,), "v"), (-1, (), "v"))
-        edges[g] = ("v", (i,), "v", ())
     for j, r in enumerate(relators, start=1):
         name = f"R{j}" if len(relators) > 1 else "R"
-        terms, closure = attach_terms(edges, relator_steps(gen_names, r))
-        if closure != r:
-            raise ChainError("relator cell closure mismatch")
-        cells.append((name, 2))
-        boundaries[name] = tuple(terms)
+        _attach(cells, boundaries, name, relator_steps(gen_names, r), r)
     doc.cells = tuple(cells)
     doc.boundaries = boundaries
     if phi is not None:
@@ -237,30 +244,19 @@ def meridional_solidtorus() -> ScxDocument:
             ("g2a", "v4", "w2", ()), ("g2b", "w2", "v1", (1,))]
     cells = [(v, 0) for v in verts]
     boundaries = {}
-    edges = {}
     for m, v in merids.items():
         cells.append((m, 1))
         boundaries[m] = ((1, (), v), (-1, (), v))
-        edges[m] = (v, (), v, ())
     for name, tail, head, hol in arcs:
         cells.append((name, 1))
         boundaries[name] = ((1, hol, head), (-1, (), tail))
-        edges[name] = (head, hol, tail, ())
     bands = [("F1", "m1", "l1", "m2"), ("G1", "m2", "g1a", "n1"),
              ("G2", "n1", "g1b", "m3"), ("F3", "m3", "l3", "m4"),
              ("G3", "m4", "g2a", "n2"), ("G4", "n2", "g2b", "m1")]
     for name, bottom, arc, top in bands:
-        steps = [(bottom, 1), (arc, 1), (top, -1), (arc, -1)]
-        terms, closure = attach_terms(edges, steps)
-        if closure != ():
-            raise ChainError(f"band {name} does not close")
-        cells.append((name, 2))
-        boundaries[name] = tuple(terms)
-    terms, closure = attach_terms(edges, [("m1", 1)])
-    if closure != ():
-        raise ChainError("disk D does not close")
-    cells.append(("D", 2))
-    boundaries["D"] = tuple(terms)
+        _attach(cells, boundaries, name,
+                [(bottom, 1), (arc, 1), (top, -1), (arc, -1)])
+    _attach(cells, boundaries, "D", [("m1", 1)])
     cells.append(("B", 3))
     boundaries["B"] = tuple(_close_three_cell(
         boundaries, [b[0] for b in bands], "D"))
@@ -296,23 +292,10 @@ def slope2_solidtorus() -> ScxDocument:
         "m2": ((1, (1, 1), "q2"), (-1, (), "q2")),
     }
     cells += [(e, 1) for e in ("e", "d", "x", "m", "m2")]
-    edges = {
-        "e": ("p", (), "q", ()), "d": ("q2", (), "q", ()),
-        "x": ("p", (1,), "p", ()), "m": ("q", (1, 1), "q", ()),
-        "m2": ("q2", (1, 1), "q2", ()),
-    }
-    terms, closure = attach_terms(
-        edges, [("e", -1), ("m", 1), ("e", 1), ("x", -1), ("x", -1)])
-    if closure != ():
-        raise ChainError("slope-2 disk does not close")
-    cells.append(("D", 2))
-    boundaries["D"] = tuple(terms)
-    terms, closure = attach_terms(
-        edges, [("m", 1), ("d", 1), ("m2", -1), ("d", -1)])
-    if closure != ():
-        raise ChainError("slope-2 band does not close")
-    cells.append(("F", 2))
-    boundaries["F"] = tuple(terms)
+    _attach(cells, boundaries, "D",
+            [("e", -1), ("m", 1), ("e", 1), ("x", -1), ("x", -1)])
+    _attach(cells, boundaries, "F",
+            [("m", 1), ("d", 1), ("m2", -1), ("d", -1)])
     doc.cells = tuple(cells)
     doc.boundaries = boundaries
     doc.subs["R-"] = ("q", "m")
@@ -346,21 +329,13 @@ def d3_two_sutures() -> ScxDocument:
                              ("c2", "w2a", "w2b")]:
         cells.append((name, 1))
         boundaries[name] = ((1, (), head), (-1, (), tail))
-    edges = {n: (boundaries[n][0][2], (), boundaries[n][0][2], ())
-             for n in ("n1a", "n1b", "n2a", "n2b")}
-    edges.update({name: (boundaries[name][0][2], (), boundaries[name][1][2], ())
-                  for name in ("c1", "c", "c2")})
     for name, steps in [
             ("D1", [("n1a", 1)]),
             ("D2", [("n2a", 1)]),
             ("G1", [("n1a", 1), ("c1", 1), ("n1b", -1), ("c1", -1)]),
             ("A", [("n1b", 1), ("c", 1), ("n2b", -1), ("c", -1)]),
             ("G2", [("n2a", 1), ("c2", 1), ("n2b", -1), ("c2", -1)])]:
-        terms, closure = attach_terms(edges, steps)
-        if closure != ():
-            raise ChainError(f"2-cell {name} does not close")
-        cells.append((name, 2))
-        boundaries[name] = tuple(terms)
+        _attach(cells, boundaries, name, steps)
     chain = {((), "D1"): 1, ((), "G1"): -1, ((), "A"): -1, ((), "G2"): 1,
              ((), "D2"): -1}
     if formal_boundary(boundaries, chain):
@@ -423,17 +398,11 @@ def trefoil_fibered() -> ScxDocument:
         "b": ((1, (2,), "v"), (-1, (), "v")),
         "T": ((1, (3,), "v"), (-1, (), "v")),
     }
-    edges = {"a": ("v", (1,), "v", ()), "b": ("v", (2,), "v", ()),
-             "T": ("v", (3,), "v", ())}
     gen_names = ("a", "b", "t")
     edge_of_gen = {"a": "a", "b": "b", "t": "T"}
     for name, rel in (("A2", rels[0]), ("B2", rels[1])):
         steps = [(edge_of_gen[g], s) for g, s in relator_steps(gen_names, rel)]
-        terms, closure = attach_terms(edges, steps)
-        if closure != rel:
-            raise ChainError("mapping torus cell closure mismatch")
-        cells.append((name, 2))
-        boundaries[name] = tuple(terms)
+        _attach(cells, boundaries, name, steps, rel)
     doc.cells = tuple(cells)
     doc.boundaries = boundaries
     doc.phis["dual"] = {"a": 0, "b": 0, "t": 1}

@@ -158,10 +158,6 @@ def validate(sc: SuturedComplex) -> ValidationReport:
         rep.add("info", "balanced" if sc.is_balanced() else "not balanced")
     if not cx.skeleton_connected():
         rep.add("error", "1-skeleton is not connected")
-    try:
-        cx.abelian_boundary_check()
-    except ChainError as e:
-        rep.add("error", str(e))
     for name in ("R-", "R+"):
         if name not in doc.subs:
             continue
@@ -338,14 +334,16 @@ def complexity_lower_bound(sc: SuturedComplex, rep) -> BoundReport:
 
 
 class DoubleResult(Frozen):
-    def __init__(self, document: ScxDocument, phi: CohomologyClass,
-                 retraction: dict):
+    def __init__(self, document: ScxDocument, cx: EquivariantComplex,
+                 phi: CohomologyClass, retraction: dict):
         _setattr(self, "document", document)
+        _setattr(self, "_cx", cx)
         _setattr(self, "phi", phi)
         _setattr(self, "retraction", retraction)
 
     def complex(self) -> EquivariantComplex:
-        return self.document.complex()
+        """The complex of `document`, as built and checked by `double`."""
+        return self._cx
 
 
 def double(sc: SuturedComplex) -> DoubleResult:
@@ -458,33 +456,19 @@ def double(sc: SuturedComplex) -> DoubleResult:
                            " inconsistent input")
     if not phi.is_cocycle(dm.group):
         raise SuturedError("dual class fails to be a cocycle")
-    dm.abelian_boundary_check()
     retraction = {g + "!1": g for g in group.gens}
     retraction.update({g + "!2": g for g in group.gens})
     retraction.update({name: "1" for name, _ in stable_letters})
-    return DoubleResult(out, phi, retraction)
+    return DoubleResult(out, dm, phi, retraction)
 
 
 def _check_zero_holonomy_tree(cx, comp, side):
     verts = [c for c in comp if cx.dim_of(c) == 0]
-    edges = [c for c in comp if cx.dim_of(c) == 1]
     if not verts:
         raise PreconditionError(f"{side} component {comp} has no vertices")
-    reached = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in edges:
-                if cx.edge_holonomy(e):
-                    continue
-                head, _, tail, _ = cx.edge_ends(e)
-                for a, b in ((head, tail), (tail, head)):
-                    if a == v and b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-        frontier = nxt
-    if set(verts) - reached:
+    flat = [c for c in comp if cx.dim_of(c) == 1 and not cx.edge_holonomy(c)]
+    path, _ = cx.tree_paths(verts[0], flat)
+    if set(verts) - set(path):
         raise PreconditionError(
             f"{side} component has no spanning tree of zero-holonomy edges;"
             " rebase the complex before doubling")

@@ -33,6 +33,17 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert code == EX_DATA and "header" in err
 
+    def test_abelian_d_squared_rejected(self, capsys, tmp_path):
+        """d^2 D = 2x v - v - x^2 v is nonzero already in the abelianization."""
+        bad = tmp_path / "d2.scx"
+        bad.write_text("scx 1\ngen x\ncell v dim 0\ncell e dim 1\n"
+                       "cell D dim 2\nbnd e = 1*x*v + -1*1*v\n"
+                       "bnd D = 1*1*e + -1*x*e\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == EX_DATA and out == ""
+        assert err == ("error: d^2 != 0 under abelianization at degree 2,"
+                       " block (0, 0)\n")
+
     def test_failed_validation_exits_one(self, capsys, tmp_path):
         from scx.cli import load_document
         from scx.scxio import serialize_scx
@@ -279,6 +290,20 @@ class TestUsageAndErrors:
             code, _, err = run(capsys, *argv)
             assert code == EX_DATA, argv
             assert err.startswith("error:"), argv
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        """Undecodable bytes in an .scx or a --rep file are bad data."""
+        bad = tmp_path / "g.scx"
+        bad.write_bytes(b"\xff\xfe")
+        rep = tmp_path / "rep.txt"
+        rep.write_bytes(b"rep 1\nkind perm\ndegree 2\ngen x = (1 2)\xff\n")
+        for argv, path in ((["check", str(bad)], bad),
+                           (["homology", "bundled:trefoil", "--rep", str(rep)],
+                            rep)):
+            code, out, err = run(capsys, *argv)
+            assert code == EX_DATA and out == "", argv
+            assert err.startswith(f"error: cannot read {path}: 'utf-8' codec"
+                                  " can't decode byte 0xff"), argv
 
     def test_usage_error_code(self, capsys):
         for argv in (["homology"],

@@ -14,7 +14,12 @@
   sorted image; `nonproduct_search` against the loop that built that sorted
   representation and caught `SizeLimitError` past the cap;
 - `chain._homology_basis` (the pivot columns of one rref) against a greedy
-  choice of kernel columns, one rank call per column.
+  choice of kernel columns, one rank call per column;
+- `EquivariantComplex.abelian_boundary_check` (sums over pairs of boundary
+  terms) against the product of per-degree layers of reduced monomials;
+- `EquivariantComplex.tree_paths`, through `pi1_generator_words` and
+  `sutured._check_zero_holonomy_tree`, against the two breadth-first
+  searches it replaced.
 """
 
 import random
@@ -27,16 +32,20 @@ import scx.chain
 from scx.algebra import (GF, QQ, LaurentRing, Matrix, pid_homology_order,
                          rank, rref)
 from scx.alex import det_form_check, laurent_twist, thurston_bound
-from scx.chain import MAX_DIM, betti, induced_map, specialize
+from scx.chain import (MAX_DIM, ChainError, EquivariantComplex, betti,
+                       induced_map, specialize)
 from scx.groups import (CohomologyClass, Representation, SizeLimitError,
                         enumerate_quotients, eval_word, eval_word_perm,
                         perm_group_order, perm_inv, perm_mul,
                         permutation_matrix, permutation_representation,
-                        regular_representation, trivial_representation)
+                        regular_representation, trivial_representation,
+                        word_exponent_vector, word_inv, word_mul)
 from scx.models import fibered_cut
-from scx.sutured import nonproduct_search
+from scx.scxio import ScxDocument
+from scx.sutured import (PreconditionError, _check_zero_holonomy_tree, double,
+                         nonproduct_search)
 
-from conftest import BUNDLED, SUTURED_BUNDLED
+from conftest import BUNDLED, SUTURED_BUNDLED, random_presentation_doc
 
 P = 2**31 - 1
 
@@ -509,3 +518,243 @@ def test_det_form_check_specializes_four_times(monkeypatch):
             assert len(calls) == expected, (rep.describe(), i, report.detail)
             applicable += report.applicable
     assert applicable > 0
+
+
+# ---------------------------------------------------------------------------
+# the abelian d^2 check: direct term pairs against layer products
+
+
+def oracle_abelian_failures(cx):
+    """{degree: blocks} where d_{d-1} d_d is nonzero under abelianization,
+    from per-degree layers of reduced monomials multiplied over every pair
+    of (lower, upper) entries: the check as first written."""
+    ngens = cx.group.ngens
+    lattice = scx.chain._hnf([list(word_exponent_vector(r, ngens))
+                              for r in cx.group.relators])
+
+    def mono(word):
+        return scx.chain._ab_reduce(list(word_exponent_vector(word, ngens)),
+                                    lattice)
+
+    layers = {}
+    for d in range(1, MAX_DIM + 1):
+        idx = {c: i for i, c in enumerate(cx.cells[d - 1])}
+        layer = {}
+        for j, cell in enumerate(cx.cells[d]):
+            for coeff, word, target in cx.boundary[cell]:
+                entry = layer.setdefault((idx[target], j), {})
+                m = mono(word)
+                entry[m] = entry.get(m, 0) + coeff
+                if entry[m] == 0:
+                    del entry[m]
+        layers[d] = layer
+    failures = {}
+    for d in range(2, MAX_DIM + 1):
+        prod = {}
+        for (i, t1), p1 in layers[d - 1].items():
+            for (t2, j), p2 in layers[d].items():
+                if t1 != t2:
+                    continue
+                entry = prod.setdefault((i, j), {})
+                for m1, c1 in p1.items():
+                    for m2, c2 in p2.items():
+                        m = scx.chain._ab_reduce(
+                            [a + b for a, b in zip(m1, m2)], lattice)
+                        entry[m] = entry.get(m, 0) + c1 * c2
+                        if entry[m] == 0:
+                            del entry[m]
+        blocks = {key for key, entry in prod.items() if entry}
+        if blocks:
+            failures[d] = blocks
+    return failures
+
+
+def _bare_complex(doc):
+    """doc's complex without the load-time d^2 check."""
+    cells = {}
+    for name, dim in doc.cells:
+        cells.setdefault(dim, []).append(name)
+    return EquivariantComplex(doc.presentation(), cells, doc.boundaries)
+
+
+def _perturbed(doc, rng):
+    """doc with one term of one 2- or 3-cell changed in its coefficient,
+    its word or its target; None if doc has no such cell."""
+    dims = dict(doc.cells)
+    upper = sorted(c for c, d in doc.cells if d >= 2 and doc.boundaries[c])
+    if not upper:
+        return None
+    cell = rng.choice(upper)
+    terms = list(doc.boundaries[cell])
+    k = rng.randrange(len(terms))
+    coeff, word, target = terms[k]
+    kind = rng.choice(["coeff", "word", "target"] if doc.gens
+                      else ["coeff", "target"])
+    if kind == "coeff":
+        coeff = rng.choice([c for c in (-2, -1, 1, 2) if c != coeff])
+    elif kind == "word":
+        g = rng.randint(1, len(doc.gens))
+        word = word_mul(word, (rng.choice([g, -g]),))
+    else:
+        target = rng.choice([c for c, d in doc.cells if d == dims[target]])
+    terms[k] = (coeff, word, target)
+    boundaries = dict(doc.boundaries)
+    boundaries[cell] = tuple(terms)
+    return ScxDocument(gens=doc.gens, relators=doc.relators, cells=doc.cells,
+                       boundaries=boundaries)
+
+
+def _abelian_check_outcome(cx):
+    try:
+        cx.abelian_boundary_check()
+    except ChainError as e:
+        return str(e)
+    return None
+
+
+def test_abelian_check_matches_layer_products(docs, sutured):
+    """Same accept or reject as the oracle on the corpus, the six doubles and
+    random presentation complexes, each also under 11 seeded perturbations
+    of a 2- or 3-cell term (bases without such a term are checked as they
+    are); a rejection names the oracle's first failing degree and one of
+    its failing blocks there."""
+    rng = random.Random(15)
+    bases = [docs[name] for name in BUNDLED]
+    bases += [double(sutured[name]).document for name in SUTURED_BUNDLED]
+    bases += [random_presentation_doc(rng) for _ in range(60)]
+    checked = rejected = at_degree_3 = 0
+    for base in bases:
+        variants = [base] + [_perturbed(base, rng) for _ in range(11)]
+        for doc in variants:
+            if doc is None:
+                continue
+            cx = _bare_complex(doc)
+            want = oracle_abelian_failures(cx)
+            got = _abelian_check_outcome(cx)
+            checked += 1
+            if not want:
+                assert got is None, (doc.boundaries, got)
+                continue
+            rejected += 1
+            d = min(want)
+            at_degree_3 += d == 3
+            assert got is not None and any(
+                got == f"d^2 != 0 under abelianization at degree {d},"
+                       f" block {block}" for block in want[d]), (got, want)
+    assert (checked, rejected, at_degree_3) == (669, 303, 22)
+
+
+# ---------------------------------------------------------------------------
+# spanning trees: one breadth-first tree against the two it replaced
+
+
+def oracle_pi1_generator_words(cx, cells):
+    """The generator-word search with its own breadth-first tree."""
+    gens = []
+    for comp in cx.components(cells):
+        verts = [c for c in comp if cx.dim_of(c) == 0]
+        edges = [c for c in comp if cx.dim_of(c) == 1]
+        if not verts:
+            continue
+        base = verts[0]
+        path = {base: ()}
+        frontier = [base]
+        tree = set()
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in sorted(edges):
+                    if e in tree:
+                        continue
+                    head, _, tail, _ = cx.edge_ends(e)
+                    g = cx.edge_holonomy(e)
+                    if tail == v and head not in path:
+                        path[head] = word_mul(path[v], g)
+                        tree.add(e)
+                        nxt.append(head)
+                    elif head == v and tail not in path:
+                        path[tail] = word_mul(path[v], word_inv(g))
+                        tree.add(e)
+                        nxt.append(tail)
+            frontier = nxt
+        for e in sorted(edges):
+            if e in tree:
+                continue
+            head, _, tail, _ = cx.edge_ends(e)
+            if tail not in path or head not in path:
+                raise ChainError(f"1-cell {e!r} dangles outside its component")
+            w = word_mul(path[tail], cx.edge_holonomy(e), word_inv(path[head]))
+            if w:
+                gens.append(w)
+    return gens
+
+
+def oracle_zero_holonomy_tree(cx, comp, side):
+    """The reachability search over zero-holonomy edges, written out."""
+    verts = [c for c in comp if cx.dim_of(c) == 0]
+    edges = [c for c in comp if cx.dim_of(c) == 1]
+    if not verts:
+        raise PreconditionError(f"{side} component {comp} has no vertices")
+    reached = {verts[0]}
+    frontier = [verts[0]]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in edges:
+                if cx.edge_holonomy(e):
+                    continue
+                head, _, tail, _ = cx.edge_ends(e)
+                for a, b in ((head, tail), (tail, head)):
+                    if a == v and b not in reached:
+                        reached.add(b)
+                        nxt.append(b)
+        frontier = nxt
+    if set(verts) - reached:
+        raise PreconditionError(
+            f"{side} component has no spanning tree of zero-holonomy edges;"
+            " rebase the complex before doubling")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ChainError, PreconditionError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_spanning_tree_matches_oracles(docs, sutured):
+    """Equal loop words and tree verdicts, or the same exception, on every
+    named subcomplex of the corpus, the glued and copied pieces of the six
+    doubles, random presentation complexes, and seeded random cell sets of
+    all of them (not boundary-closed, so edges may dangle)."""
+    rng = random.Random(15)
+    cases = []
+    for name in BUNDLED:
+        cx = docs[name].complex()
+        cases += [(cx, cells) for cells in docs[name].subs.values()]
+        cases.append((cx, list(cx.all_cells())))
+    for name in SUTURED_BUNDLED:
+        sc = sutured[name]
+        dm = double(sc).complex()
+        shared = [c for s in ("R-", "R+") for c in sc.sub_cells(s)]
+        cases += [(dm, sc.sub_cells("R-")), (dm, sc.sub_cells("R+"))]
+        cases += [(dm, shared + [c for c in dm.all_cells() if c.endswith(tag)])
+                  for tag in ("!1", "!2")]
+        cases.append((dm, list(dm.all_cells())))
+    for _ in range(40):
+        cx = random_presentation_doc(rng).complex()
+        cases.append((cx, list(cx.all_cells())))
+    for cx, _ in list(cases):
+        cells = list(cx.all_cells())
+        for _ in range(3):
+            cases.append((cx, [c for c in cells if rng.random() < 0.6]))
+    raised = {"words": 0, "tree": 0}
+    for cx, cells in cases:
+        got = _outcome(cx.pi1_generator_words, cells)
+        assert got == _outcome(oracle_pi1_generator_words, cx, cells), cells
+        raised["words"] += got[0] != "ok"
+        for comp in cx.components(cells):
+            got = _outcome(_check_zero_holonomy_tree, cx, comp, "R-")
+            assert got == _outcome(oracle_zero_holonomy_tree, cx, comp, "R-")
+            raised["tree"] += got[0] != "ok"
+    assert (len(cases), raised) == (372, {"words": 38, "tree": 217})

@@ -35,7 +35,7 @@ FROZEN = {
     "Representation": (PRES, 1, QQ, (), (), "trivial", True),
     "Verdict": ("unknown", None, {}),
     "BoundReport": (Fraction(0), 0, 0, 0, 0, 1, False),
-    "DoubleResult": (None, None, {}),
+    "DoubleResult": (None, None, None, {}),
 }
 
 
