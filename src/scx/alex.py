@@ -36,10 +36,6 @@ class AlexOrder(Frozen):
     def poly_str(self) -> str:
         return poly_to_str(self.ring, self.poly)
 
-    def __str__(self):
-        d = "undefined" if self.deg is None else self.deg
-        return f"Delta_{self.i} = {self.poly_str()}   (deg {d})"
-
 
 def laurent_twist(rep: Representation, phi: CohomologyClass) -> Representation:
     """g -> t^{phi(g)} * rho(g), a representation over F[t^±1]."""
@@ -101,8 +97,14 @@ class ThurstonReport(Frozen):
         _setattr(self, "reason", reason)
         _setattr(self, "k", k)
 
-    def __str__(self):
-        lines = [str(o) for o in self.orders]
+    def format(self, deg_only: bool = False) -> str:
+        """A `Delta_i` line per order, its degree alone under deg_only
+        (`undefined` for the zero order); then the bound."""
+        lines = []
+        for o in self.orders:
+            d = "undefined" if o.deg is None else o.deg
+            lines.append(f"deg Delta_{o.i} = {d}" if deg_only
+                         else f"Delta_{o.i} = {o.poly_str()}")
         if self.bound is None:
             lines.append(f"no bound ({self.reason})")
         else:

@@ -214,13 +214,13 @@ def cmd_check(args):
     print(f"cells: {sum(len(cx.cells[d]) for d in range(4))},"
           f" chi = {cx.euler_characteristic()}")
     print("d^2 under abelianization: ok")  # doc.complex() checked it
-    sc = SuturedComplex(doc)
+    sc = SuturedComplex(doc, cx)
+    trivial = trivial_representation(cx.group, 1, QQ)
     if sc.has_sutured_structure():
         report = validate(sc)
         print(report)
         if not report.ok:
             failures += 1
-        trivial = trivial_representation(cx.group, 1, QQ)
         try:
             rminus = sc.rminus()
             print(euler_check(cx, rminus, trivial))
@@ -230,7 +230,6 @@ def cmd_check(args):
             print(f"pair checks FAILED: {e}")
             failures += 1
     else:
-        trivial = trivial_representation(cx.group, 1, QQ)
         try:
             specialize(cx, trivial, None)
             print("specialization under the trivial representation: ok")
@@ -249,7 +248,7 @@ def cmd_homology(args):
         if args.rel not in doc.subs:
             raise UsageError(f"no subcomplex named {args.rel!r} in the file;"
                              f" declared: {', '.join(doc.subs) or 'none'}")
-        rel = SuturedComplex(doc).ref(args.rel)
+        rel = SuturedComplex(doc, cx).ref(args.rel)
     bv = betti(specialize(cx, rep, rel))
     pair = f"(M, {args.rel})" if args.rel else "M"
     print(f"pair: {pair}")
@@ -306,17 +305,7 @@ def cmd_alex(args):
     cx = doc.complex()
     rep = resolve_representation(args.rep, cx.group, args.field)
     phi = resolve_phi(args.phi, doc)
-    report = thurston_bound(cx, phi, rep)
-    for order in report.orders:
-        if args.deg_only:
-            d = "undefined" if order.deg is None else order.deg
-            print(f"deg Delta_{order.i} = {d}")
-        else:
-            print(f"Delta_{order.i} = {order.poly_str()}")
-    if report.bound is None:
-        print(f"no bound ({report.reason})")
-    else:
-        print(f"norm lower bound: {report.bound}")
+    print(thurston_bound(cx, phi, rep).format(args.deg_only))
     return EX_OK
 
 

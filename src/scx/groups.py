@@ -317,17 +317,10 @@ def check_hom(pres: GroupPresentation, images) -> bool:
     if len(images) != pres.ngens:
         raise GroupError("one image required per generator")
     if pres.ngens and isinstance(images[0], Matrix):
-        k = images[0].m
-        dom = images[0].dom
-        ident = Matrix.identity(dom, k)
-        invs = [inverse(m) for m in images]
-        for r in pres.relators:
-            acc = ident
-            for letter in r:
-                acc = acc * (images[letter - 1] if letter > 0 else invs[-letter - 1])
-            if acc != ident:
-                return False
-        return True
+        rep = Representation(pres, images[0].m, images[0].dom, tuple(images),
+                             tuple(inverse(m) for m in images), "", False)
+        ident = Matrix.identity(rep.dom, rep.dim)
+        return all(eval_word(rep, r) == ident for r in pres.relators)
     n = len(images[0]) if images else 1
     for r in pres.relators:
         if eval_word_perm(images, r, n) != perm_identity(n):

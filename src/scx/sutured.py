@@ -52,11 +52,12 @@ class Verdict(Frozen):
 
 
 class SuturedComplex:
-    """An equivariant complex with the sutured decomposition metadata."""
+    """An equivariant complex with the sutured decomposition metadata; `cx`
+    is `doc.complex()` if the caller has built it already."""
 
-    def __init__(self, doc: ScxDocument):
+    def __init__(self, doc: ScxDocument, cx: EquivariantComplex | None = None):
         self.doc = doc
-        self.cx = doc.complex()
+        self.cx = doc.complex() if cx is None else cx
         self.suture_count = doc.meta_int("sutures", 0) or 0
         self.irreducible = doc.meta_flag("irreducible")
         self.excluded_solid_torus = doc.meta_flag("excluded_s1xd2")
@@ -250,27 +251,27 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
     def evaluate(q):
         images = [eval_word_perm(q.images, w, q.degree) for w in gen_words]
         sub_order = perm_group_order(images)
-        detail = {"quotient": q.describe(),
-                  "im_order_rminus": sub_order,
-                  "im_order_total": q.image_order}
         index_fired = sub_order < q.image_order
-        if index_fired:
-            detail["test"] = "index"
-            detail["dim_h0_rminus_regular"] = q.image_order // sub_order
-            detail["dim_h0_total_regular"] = 1
         direct = None
         if q.image_order <= max(regular_cap, 1):
             reg = regular_representation(q, QQ, cap=regular_cap)
             direct = betti(specialize(sc.cx, reg, rminus))
-            detail["b_pair_rminus_regular"] = str(direct)
-        else:
-            detail["note"] = "regular representation over cap, index test only"
+        if not index_fired and (direct is None or direct[1] == 0):
+            return None
+        detail = {"quotient": q.describe(),
+                  "im_order_rminus": sub_order,
+                  "im_order_total": q.image_order}
         if index_fired:
-            return detail
-        if direct is not None and direct[1] != 0:
+            detail["test"] = "index"
+            detail["dim_h0_rminus_regular"] = q.image_order // sub_order
+            detail["dim_h0_total_regular"] = 1
+        if direct is None:
+            detail["note"] = "regular representation over cap, index test only"
+        else:
+            detail["b_pair_rminus_regular"] = str(direct)
+        if not index_fired:
             detail["test"] = "direct"
-            return detail
-        return None
+        return detail
 
     for q in enumerate_quotients(sc.cx.group, max_degree):
         log["representations_tested"] += 1

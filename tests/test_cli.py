@@ -1,12 +1,18 @@
 """Command surface: subcommands, exit codes, file handling."""
 
+import random
 import subprocess
 import sys
+from collections import Counter
+from importlib import resources
 
 import pytest
 
-from scx.cli import EX_DATA, EX_FAIL, EX_OK, EX_UNKNOWN, EX_USAGE, main
+from scx.cli import (EX_DATA, EX_FAIL, EX_OK, EX_UNKNOWN, EX_USAGE,
+                     bundled_names, main)
+from scx.groups import FiniteQuotient
 from scx.models import BUILDERS
+from scx.scxio import ScxDocument
 
 
 def run(capsys, *argv):
@@ -341,3 +347,142 @@ class TestUsageAndErrors:
              "--rel", "R-"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "b = (0, 0, 0, 0)" in proc.stdout
+
+
+# A commutator complex over F(x, y): the abelianized d^2 is 0, but
+# d^2 F = (1 - y) (x - 1) v + (x - 1) (y - 1) v = (x y - y x) v is not zero
+# in the group ring, so a representation where x and y do not commute
+# exposes it.
+COMMUTATOR = ("scx 1\ngen x y\ncell v dim 0\ncell ex dim 1\ncell ey dim 1\n"
+              "cell F dim 2\nbnd ex = 1*x*v + -1*1*v\nbnd ey = 1*y*v + -1*1*v\n"
+              "bnd F = 1*1*ex + 1*x*ey + -1*y*ex + -1*1*ey\n")
+NONCOMMUTING = "perm:3:x=(1 2),y=(2 3)"
+
+
+class TestRepresentationDSquared:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "commutator.scx"
+        path.write_text(COMMUTATOR)
+        return str(path)
+
+    def test_abelian_check_passes(self, capsys, path):
+        code, out, _ = run(capsys, "check", path)
+        assert code == EX_OK and "d^2 under abelianization: ok" in out
+
+    @pytest.mark.parametrize("argv,field", [
+        (["homology", "{path}", "--rep", NONCOMMUTING], "Q"),
+        (["homology", "{path}", "--rep", NONCOMMUTING, "--field", "f5"], "F5"),
+        (["alex", "{path}", "--phi", "inline:x=1,y=0", "--rep", NONCOMMUTING],
+         "Q[t^±1]")], ids=["homology", "homology-f5", "alex"])
+    def test_rejected_under_representation(self, capsys, path, argv, field):
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == EX_DATA and out == ""
+        assert err == (f"error: d^2 != 0 under permutation k=3 over {field}"
+                       " at degree 2: ill-formed input data\n")
+
+    @pytest.mark.parametrize("command", ["homology", "alex"])
+    def test_commuting_images_pass(self, capsys, path, command):
+        argv = [command, path, "--rep", "perm:2:x=(1 2),y=(1 2)"]
+        if command == "alex":
+            argv += ["--phi", "inline:x=1,y=0"]
+        code, _, err = run(capsys, *argv)
+        assert code == EX_OK and err == ""
+
+
+class TestWorkDoneOnce:
+    """Each command builds the document's complex once (`double` also builds
+    its output's), and `nonproduct` describes only the quotient it returns
+    as its witness."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for cls, name in ((ScxDocument, "complex"),
+                          (FiniteQuotient, "describe")):
+            def counted(self, *args, _name=name, _fn=getattr(cls, name)):
+                calls[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv,builds", [
+        (["check", "bundled:product_T1"], 1),
+        (["homology", "bundled:product_T1"], 1),
+        (["homology", "bundled:product_T1", "--rel", "R-"], 1),
+        (["certify-taut", "bundled:product_T1"], 1),
+        (["nonproduct", "bundled:product_T1", "--max-degree", "2"], 1),
+        (["bounds", "bundled:product_T1"], 1),
+        (["alex", "bundled:trefoil", "--phi", "ab"], 1),
+        (["double", "bundled:slope2_solidtorus", "-o", "{tmp}/dm.scx"], 2)],
+        ids=lambda v: v if isinstance(v, int) else " ".join(v[:1] + v[2:]))
+    def test_complex_builds(self, capsys, tmp_path, calls, argv, builds):
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code in (EX_OK, EX_UNKNOWN), err
+        assert calls["complex"] == builds
+
+    @pytest.mark.parametrize("name,degree,code,describes", [
+        ("slope2_solidtorus", "3", EX_OK, 1),
+        ("product_T1", "2", EX_UNKNOWN, 0)])
+    def test_describe_only_the_witness(self, capsys, calls, name, degree,
+                                       code, describes):
+        got, out, _ = run(capsys, "nonproduct", f"bundled:{name}",
+                          "--max-degree", degree)
+        assert got == code
+        assert calls["describe"] == describes
+        assert out.count("witness.quotient:") == describes
+
+
+# 38 mutated texts, each under the 8 commands: about 300 cases
+FUZZ_TEXTS = 38
+FUZZ_COMMANDS = (["check"], ["homology", "--rel", "R-"], ["certify-taut"],
+                 ["nonproduct", "--max-degree", "2"], ["bounds"],
+                 ["alex", "--phi", "ab"], ["quotients", "--max-degree", "2"],
+                 ["double", "-o", "{out}"])
+FUZZ_TOKENS = ("0", "1", "-1", "2", "3", "x", "y", "a", "zz", "x^-1", "x^2",
+               "1*x*v", "*", "+", "=", "-", "dim", "cell", "bnd", "sub",
+               "meta", "phi", "gen", "rel", "R-", "R+", "gamma", "scx",
+               "sutures", "irreducible", "ab=1", "x=", "#", "1/2", "ΔΔ")
+
+
+def _mutate(rng, text):
+    """One random edit of an .scx text: replace, insert or delete a token,
+    or duplicate or drop a line."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    edit = rng.choice(("replace", "insert", "delete", "duplicate", "drop"))
+    if edit == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif edit == "drop":
+        del lines[i]
+    else:
+        tokens = lines[i].split(" ")
+        j = rng.randrange(len(tokens))
+        if edit == "replace":
+            tokens[j] = rng.choice(FUZZ_TOKENS)
+        elif edit == "insert":
+            tokens.insert(j, rng.choice(FUZZ_TOKENS))
+        else:
+            del tokens[j]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_malformed_input_never_escapes(capsys, tmp_path):
+    """Seeded mutations of the bundled inputs end in a documented exit code
+    under every command, never in an exception."""
+    texts = [(resources.files("scx.data") / f"{name}.scx").read_text()
+             for name in bundled_names()]
+    rng = random.Random(18)
+    path, out = tmp_path / "fuzz.scx", str(tmp_path / "double.scx")
+    for _ in range(FUZZ_TEXTS):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        path.write_text(text)
+        for command in FUZZ_COMMANDS:
+            argv = [command[0], str(path)] + [a.format(out=out)
+                                              for a in command[1:]]
+            code, _, err = run(capsys, *argv)
+            assert code in (EX_OK, EX_FAIL, EX_UNKNOWN, EX_USAGE, EX_DATA), (
+                argv, text, err)
