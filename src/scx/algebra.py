@@ -241,7 +241,7 @@ class LaurentRing:
         self.name = f"{base.name}[t^±1]"
 
     def poly(self, low: int, coeffs) -> LaurentPoly:
-        cs = [self.base.of(c) if not _is_elem(self.base, c) else c for c in coeffs]
+        cs = [self.base.of(c) for c in coeffs]
         lo = low
         while cs and self.base.is_zero(cs[0]):
             cs.pop(0)
@@ -255,7 +255,7 @@ class LaurentRing:
     def of(self, x):
         if isinstance(x, LaurentPoly):
             return x
-        return self.poly(0, [self.base.of(x)])
+        return self.poly(0, [x])
 
     def monomial(self, c, n: int) -> LaurentPoly:
         return self.poly(n, [c])
@@ -336,15 +336,6 @@ class LaurentRing:
         return f"LaurentRing({self.base!r})"
 
 
-def _is_elem(base, c):
-    if base is QQ:
-        return isinstance(c, Fraction)
-    if isinstance(base, PrimeField):
-        return (isinstance(c, int) and not isinstance(c, bool)
-                and 0 <= c < base.p)
-    return False
-
-
 def poly_to_str(ring: LaurentRing, p: LaurentPoly) -> str:
     """Ascending-exponent sparse form, e.g. '1 - t + t^2'.
 
@@ -377,35 +368,6 @@ def poly_to_str(ring: LaurentRing, p: LaurentPoly) -> str:
     return " ".join(out)
 
 
-def poly_from_str(ring: LaurentRing, text: str) -> LaurentPoly:
-    """Inverse of poly_to_str on canonical strings."""
-    text = text.strip()
-    if text == "0":
-        return ring.zero
-    norm = text.replace("- ", "+ -").replace(" ", "")
-    if norm.startswith("+"):
-        norm = norm[1:]
-    total = ring.zero
-    for term in norm.split("+"):
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:]
-        if "t" not in term:
-            coeff, exp = term, 0
-        else:
-            head, _, tail = term.partition("t")
-            coeff = head[:-1] if head.endswith("*") else (head or "1")
-            coeff = coeff or "1"
-            exp = int(tail[1:]) if tail.startswith("^") else 1
-        c = ring.base.of(Fraction(coeff))
-        if neg:
-            c = ring.base.neg(c)
-        total = ring.add(total, ring.monomial(c, exp))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # dense matrices
 
@@ -427,8 +389,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, dom, rows):
-        return cls(dom, [[dom.of(x) if not _dom_elem(dom, x) else x for x in r]
-                         for r in rows])
+        return cls(dom, [[dom.of(x) for x in r] for r in rows])
 
     @classmethod
     def zeros(cls, dom, m, n):
@@ -494,12 +455,6 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.m}x{self.n} over {self.dom.name}>"
-
-
-def _dom_elem(dom, x):
-    if isinstance(dom, LaurentRing):
-        return isinstance(x, LaurentPoly)
-    return _is_elem(dom, x)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ def load_document(spec: str):
 def resolve_representation(spec: str, pres, dom):
     """--rep value: a file path, trivial:k, or perm:<degree>:<assignments>.
 
-    A malformed inline spec is a usage error; a malformed file is bad data.
+    `dom` is the --field value, None when it is not given: an inline spec
+    is then over Q.  A malformed inline spec is a usage error; a malformed
+    file is bad data.
     """
     if spec.startswith("trivial:"):
         try:
@@ -78,7 +80,7 @@ def resolve_representation(spec: str, pres, dom):
             raise UsageError("trivial spec is trivial:<k>") from None
         if k < 1:
             raise UsageError("trivial representation needs k >= 1")
-        return trivial_representation(pres, k, dom)
+        return trivial_representation(pres, k, dom or QQ)
     if spec.startswith("perm:"):
         rest = spec.split(":", 1)[1]
         degree_text, _, assigns = rest.partition(":")
@@ -99,7 +101,7 @@ def resolve_representation(spec: str, pres, dom):
             q = permutation_quotient(pres, degree, cycles)
         except GroupError as e:
             raise UsageError(str(e)) from e
-        return permutation_representation(q, dom)
+        return permutation_representation(q, dom or QQ)
     return representation_from_document(parse_rep(_read_text(spec)), pres, dom)
 
 
@@ -122,8 +124,17 @@ def _split_assignments(text):
     return parts
 
 
-def representation_from_document(doc: RepDocument, pres, default_dom):
-    dom = field_by_tag(doc.field_tag) if doc.kind == "matrix" else default_dom
+def representation_from_document(doc: RepDocument, pres, dom):
+    """The representation a file describes, over --field if it is given
+    (`dom` not None), else over the file's `field`, else over Q.  A file
+    field that differs from --field is a usage error."""
+    if doc.field_tag is not None:
+        file_dom = field_by_tag(doc.field_tag)
+        if dom is not None and dom is not file_dom:
+            raise UsageError(f"--field {dom.name} differs from the file's"
+                             f" field {file_dom.name}")
+        dom = file_dom
+    dom = dom or QQ
     if doc.kind == "trivial":
         return trivial_representation(pres, doc.dim, dom)
     try:
@@ -336,8 +347,9 @@ def build_parser() -> _Parser:
     p = add("homology", cmd_homology, help="twisted Betti numbers")
     p.add_argument("--rel", default=None, help="subcomplex name, e.g. R-")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", type=_field, default="q",
-                   help="q, f2, f3, f5, ...")
+    p.add_argument("--field", type=_field, default=None,
+                   help="q, f2, f3, f5, ...; default the --rep file's field,"
+                        " else q")
 
     p = add("certify-taut", cmd_certify_taut,
             help="test the trivial representation for a certificate")
@@ -351,7 +363,7 @@ def build_parser() -> _Parser:
 
     p = add("bounds", cmd_bounds, help="complexity lower bound")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", type=_field, default="q")
+    p.add_argument("--field", type=_field, default=None)
 
     p = add("double", cmd_double, help="double along R- and R+")
     p.add_argument("-o", "--output", required=True)
@@ -360,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi", required=True,
                    help="class name from the file or inline:g=1,h=0")
     p.add_argument("--rep", default="trivial:1")
-    p.add_argument("--field", type=_field, default="q")
+    p.add_argument("--field", type=_field, default=None)
     p.add_argument("--deg-only", action="store_true")
 
     p = add("quotients", cmd_quotients, help="list finite quotients")

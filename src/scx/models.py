@@ -62,24 +62,6 @@ def relator_steps(gen_names, relator):
             for k in reversed(relator)]
 
 
-def loop_chain(word, edge_of_gen):
-    """1-chain of an edge loop at a single vertex spelling `word`.
-
-    Used for cell maps whose image traverses several edges; same suffix
-    bookkeeping as attach_terms.
-    """
-    terms = []
-    suffix = ()
-    for k in reversed(word):
-        if k > 0:
-            terms.append((1, suffix, edge_of_gen[k]))
-            suffix = word_mul((k,), suffix)
-        else:
-            suffix = word_mul((k,), suffix)
-            terms.append((-1, suffix, edge_of_gen[-k]))
-    return list(reversed(terms))
-
-
 # -- formal chains over the group ring (free/trivial groups only) ------------
 
 
@@ -428,17 +410,19 @@ def fibered_cut():
     xminus_doc = interval_product(fiber, subs=False)
     fcx = fiber.complex()
     xcx = xminus_doc.complex()
-    top_edges = {1: "ap", 2: "bp"}
     iota_l = CellMap(
         source=fcx, target=xcx, gen_words=((1,), (2,)),
         cell_images={"v": ((1, (), "vm"),), "a": ((1, (), "am"),),
                      "b": ((1, (), "bm"),)})
-    mono = {1: (2,), 2: (2, -1)}      # a -> b, b -> b a^-1
+    mono = ((2,), (2, -1))      # a -> b, b -> b a^-1
+    # a and b go to the loops on the top edges that spell their monodromy
+    # words, lifted by the relator rule
+    a_top, b_top = (tuple(attach_terms(xminus_doc.boundaries,
+                                       relator_steps(("ap", "bp"), w))[0])
+                    for w in mono)
     iota_r = CellMap(
-        source=fcx, target=xcx, gen_words=(mono[1], mono[2]),
-        cell_images={"v": ((1, (), "vp"),),
-                     "a": tuple(loop_chain(mono[1], top_edges)),
-                     "b": tuple(loop_chain(mono[2], top_edges))})
+        source=fcx, target=xcx, gen_words=mono,
+        cell_images={"v": ((1, (), "vp"),), "a": a_top, "b": b_top})
     return {"w_doc": trefoil_fibered(), "fiber": fcx, "xminus": xcx,
             "iota_l": iota_l, "iota_r": iota_r,
             "x_in_w": ((1,), (2,)), "stable": (3,)}

@@ -37,11 +37,10 @@ class ParseError(Exception):
 class ScxDocument:
     """A parsed .scx file; mutable, and == compares every field."""
 
-    def __init__(self, version: int = 1, gens: tuple = (),
-                 relators: tuple = (), cells: tuple = (),
-                 boundaries: dict | None = None, subs: dict | None = None,
-                 metas: dict | None = None, phis: dict | None = None):
-        self.version = version
+    def __init__(self, gens: tuple = (), relators: tuple = (),
+                 cells: tuple = (), boundaries: dict | None = None,
+                 subs: dict | None = None, metas: dict | None = None,
+                 phis: dict | None = None):
         self.gens = gens
         self.relators = relators            # words over gens
         self.cells = cells                  # (name, dim) in declaration order
@@ -102,9 +101,9 @@ def parse_scx(text: str) -> ScxDocument:
         tokens = line.split()
         kind = tokens[0]
         if kind == "scx":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("bad header, expected 'scx 1'", lineno)
-            doc.version = int(tokens[1])
+            if tokens[1:] != ["1"]:
+                raise ParseError(f"bad header {line.strip()!r}: only format"
+                                 " version 1 ('scx 1') is read", lineno)
             saw_header = True
         elif not saw_header:
             raise ParseError("missing 'scx 1' header line", lineno)
@@ -236,7 +235,7 @@ def parse_scx(text: str) -> ScxDocument:
 
 def serialize_scx(doc: ScxDocument) -> str:
     pres = doc.presentation()
-    lines = [f"scx {doc.version}"]
+    lines = ["scx 1"]
     if doc.gens:
         lines.append("gen " + " ".join(doc.gens))
     for r in doc.relators:
@@ -259,9 +258,10 @@ def serialize_scx(doc: ScxDocument) -> str:
 
 
 class RepDocument:
-    """Parsed representation file: trivial / perm / matrix kinds."""
+    """Parsed representation file: trivial / perm / matrix kinds.  The
+    `field_tag` is None when the file has no `field` line."""
 
-    def __init__(self, kind: str, field_tag: str = "q",
+    def __init__(self, kind: str, field_tag: str | None = None,
                  unitary_assertion: bool = False):
         self.kind = kind
         self.dim = 1
@@ -270,6 +270,12 @@ class RepDocument:
         self.perms = {}
         self.matrices = {}
         self.unitary_assertion = unitary_assertion
+
+
+# the directives each kind reads besides `rep` and `kind`
+_REP_DIRECTIVES = {"trivial": ("dim", "field"),
+                   "perm": ("degree", "field", "gen"),
+                   "matrix": ("dim", "field", "gen", "unitary")}
 
 
 def _size(key, text, lineno) -> int:
@@ -283,14 +289,13 @@ def _size(key, text, lineno) -> int:
 
 
 def parse_rep(text: str) -> RepDocument:
-    kind = None
-    doc = None
+    """Parse a representation file.  The first line is `rep 1`; a directive
+    other than `gen` given twice, or one that its kind does not read
+    (`_REP_DIRECTIVES`), is a ParseError, not a silent override."""
+    first: dict = {}        # directive -> line of its first use
     pending: dict = {}
-    dim = None
-    degree = None
-    field_tag = "q"
+    kind = dim = degree = field_tag = None
     unitary = False
-    saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -298,13 +303,18 @@ def parse_rep(text: str) -> RepDocument:
         tokens = line.split(None, 1)
         key = tokens[0]
         rest = tokens[1] if len(tokens) > 1 else ""
-        if key == "rep":
-            saw_header = True
-        elif not saw_header:
+        if not first and key != "rep":
             raise ParseError("missing 'rep 1' header", lineno)
+        if key in first and key != "gen":
+            raise ParseError(f"{key!r} given twice", lineno)
+        first.setdefault(key, lineno)
+        if key == "rep":
+            if rest != "1":
+                raise ParseError(f"bad header {line!r}: only format version 1"
+                                 " ('rep 1') is read", lineno)
         elif key == "kind":
             kind = rest.strip()
-            if kind not in ("trivial", "perm", "matrix"):
+            if kind not in _REP_DIRECTIVES:
                 raise ParseError(f"unknown representation kind {kind!r}", lineno)
         elif key == "dim":
             dim = _size(key, rest, lineno)
@@ -326,6 +336,9 @@ def parse_rep(text: str) -> RepDocument:
             raise ParseError(f"unknown directive {key!r}", lineno)
     if kind is None:
         raise ParseError("representation file has no kind", 1)
+    for key, lineno in first.items():
+        if key not in ("rep", "kind") and key not in _REP_DIRECTIVES[kind]:
+            raise ParseError(f"{key!r} does not apply to kind {kind}", lineno)
     doc = RepDocument(kind=kind, field_tag=field_tag, unitary_assertion=unitary)
     if kind == "trivial":
         doc.dim = dim if dim is not None else 1

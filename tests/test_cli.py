@@ -39,6 +39,15 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert code == EX_DATA and "header" in err
 
+    @pytest.mark.parametrize("header", ["scx 7", "scx"])
+    def test_other_format_version(self, capsys, tmp_path, header):
+        path = tmp_path / "version.scx"
+        path.write_text(f"{header}\ngen x\ncell v dim 0\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (EX_DATA, "")
+        assert err == (f"error: bad header {header!r}: only format version 1"
+                       " ('scx 1') is read (line 1)\n")
+
     def test_abelian_d_squared_rejected(self, capsys, tmp_path):
         """d^2 D = 2x v - v - x^2 v is nonzero already in the abelianization."""
         bad = tmp_path / "d2.scx"
@@ -97,6 +106,48 @@ class TestHomology:
         code, out, _ = run(capsys, "homology", "bundled:slope2_solidtorus",
                            "--rel", "R-", "--rep", str(rep))
         assert code == EX_OK and "b = (0, 0, 0, 0)" in out
+
+    @pytest.mark.parametrize("body,argv,field", [
+        ("kind matrix\ndim 1\ngen a = 2\n", ["--field", "f5"],
+         "user-supplied k=1 over F5"),
+        ("kind perm\nfield f5\ndegree 2\ngen a = (1 2)\n", [],
+         "permutation k=2 over F5"),
+        ("kind matrix\nfield f3\ndim 1\ngen a = 2\n", [],
+         "user-supplied k=1 over F3"),
+        ("kind trivial\nfield f3\ndim 2\n", ["--field", "f3"],
+         "trivial k=2 over F3"),
+        ("kind perm\ndegree 2\ngen a = (1 2)\n", [],
+         "permutation k=2 over Q"),
+    ], ids=["matrix-flag", "perm-file", "matrix-file", "both-agree", "neither"])
+    def test_rep_file_field(self, capsys, tmp_path, body, argv, field):
+        """The field is --field if given, else the file's, else Q."""
+        rep = tmp_path / "rep.txt"
+        rep.write_text("rep 1\n" + body)
+        code, out, err = run(capsys, "homology", "bundled:product_A1",
+                             "--rel", "R-", "--rep", str(rep), *argv)
+        assert code == EX_OK and err == ""
+        assert f"representation: {field}\n" in out
+
+    def test_rep_file_other_version(self, capsys, tmp_path):
+        rep = tmp_path / "rep.txt"
+        rep.write_text("rep 7\nkind trivial\n")
+        code, out, err = run(capsys, "homology", "bundled:product_A1",
+                             "--rep", str(rep))
+        assert (code, out) == (EX_DATA, "")
+        assert err == ("error: bad header 'rep 7': only format version 1"
+                       " ('rep 1') is read (line 1)\n")
+
+    @pytest.mark.parametrize("command", [
+        ["homology"], ["bounds"], ["alex", "--phi", "ab"]])
+    def test_rep_file_field_conflict(self, capsys, tmp_path, command):
+        rep = tmp_path / "rep.txt"
+        rep.write_text("rep 1\nkind matrix\nfield f3\ndim 1\n"
+                       "gen x = 2\ngen y = 2\n")
+        code, out, err = run(capsys, command[0], "bundled:trefoil",
+                             *command[1:], "--rep", str(rep), "--field", "f5")
+        assert (code, out) == (EX_USAGE, "")
+        assert err == ("usage error: --field F5 differs from the file's field"
+                       " F3\n")
 
     @pytest.mark.parametrize("entry,code,message", [
         ("1/2", EX_OK, "b = (0, 0, 0, 0)"),

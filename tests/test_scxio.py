@@ -78,6 +78,14 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_scx("scx 1\ngen a\nrel b\n")
 
+    @pytest.mark.parametrize("header", ["scx 7", "scx 0", "scx", "scx 1 1",
+                                        "scx x"])
+    def test_only_version_1(self, header):
+        with pytest.raises(ParseError) as e:
+            parse_scx(f"# comment\n{header}\ngen a\n")
+        assert f"bad header {header!r}" in str(e.value)
+        assert "only format version 1" in str(e.value) and e.value.line == 2
+
 
 class TestBundledShape:
     def test_product_T1_has_nine_cells(self):
@@ -148,6 +156,46 @@ class TestRepFormat:
     def test_matrix_shape_error(self):
         with pytest.raises(ParseError):
             parse_rep("rep 1\nkind matrix\ndim 2\ngen x = 1 1 1 ; 0 1 0\n")
+
+    def test_field_is_none_unless_given(self):
+        assert parse_rep("rep 1\nkind trivial\n").field_tag is None
+        assert parse_rep("rep 1\nkind trivial\nfield f5\n").field_tag == "f5"
+
+    @pytest.mark.parametrize("header", ["rep 7", "rep", "rep 1 1", "rep 01"])
+    def test_only_version_1(self, header):
+        with pytest.raises(ParseError) as e:
+            parse_rep(f"{header}\nkind trivial\n")
+        assert f"bad header {header!r}" in str(e.value)
+        assert "only format version 1" in str(e.value) and e.value.line == 1
+
+    @pytest.mark.parametrize("body,line", [
+        ("rep 1\nkind trivial\n", 2),
+        ("kind perm\nkind matrix\ndim 1\n", 3),
+        ("kind trivial\nkind trivial\n", 3),
+        ("kind matrix\ndim 1\ndim 2\n", 4),
+        ("kind perm\ndegree 2\ndegree 3\n", 4),
+        ("kind matrix\nfield q\nfield f5\ndim 1\n", 4),
+        ("kind matrix\ndim 1\nunitary 0\n# note\nunitary 1\n", 6),
+    ])
+    def test_repeated_directive(self, body, line):
+        with pytest.raises(ParseError) as e:
+            parse_rep("rep 1\n" + body)
+        assert "given twice" in str(e.value) and e.value.line == line
+
+    @pytest.mark.parametrize("body,directive,line", [
+        ("kind trivial\ndegree 2\n", "degree", 3),
+        ("kind trivial\ngen x = (1 2)\n", "gen", 3),
+        ("kind trivial\nunitary 1\n", "unitary", 3),
+        ("kind perm\ndegree 2\ndim 9\n", "dim", 4),
+        ("dim 9\nkind perm\ndegree 2\n", "dim", 2),
+        ("kind perm\ndegree 2\nunitary 0\n", "unitary", 4),
+        ("kind matrix\ndim 1\ndegree 2\ngen x = 1\n", "degree", 4),
+    ])
+    def test_directive_of_another_kind(self, body, directive, line):
+        with pytest.raises(ParseError) as e:
+            parse_rep("rep 1\n" + body)
+        assert f"{directive!r} does not apply to kind" in str(e.value)
+        assert e.value.line == line
 
 
 # Text built from the formats' own tokens reaches deep into both parsers;
