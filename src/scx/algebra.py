@@ -125,7 +125,7 @@ class PrimeField:
     is_field = True
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p >= 2**31:
+        if p >= 2**31 or not _is_prime(p):
             raise AlgebraError(f"{p} is not a supported prime")
         self.p = p
         self.name = f"F{p}"

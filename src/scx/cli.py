@@ -17,7 +17,8 @@ from .chain import ChainError, betti, euler_check, h0_vanishing_check, specializ
 from .groups import (CohomologyClass, GroupError, enumerate_quotients,
                      make_representation, permutation_quotient,
                      permutation_representation, trivial_representation)
-from .scxio import ParseError, RepDocument, parse_rep, parse_scx, serialize_scx
+from .scxio import (ParseError, RepDocument, inline_rep, parse_assignments,
+                    parse_rep, parse_scx, serialize_scx)
 from .sutured import (PreconditionError, SuturedComplex,
                       complexity_lower_bound, certify_taut, double,
                       nonproduct_search, validate)
@@ -67,61 +68,17 @@ def load_document(spec: str):
 
 
 def resolve_representation(spec: str, pres, dom):
-    """--rep value: a file path, trivial:k, or perm:<degree>:<assignments>.
-
-    `dom` is the --field value, None when it is not given: an inline spec
-    is then over Q.  A malformed inline spec is a usage error; a malformed
-    file is bad data.
-    """
-    if spec.startswith("trivial:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError("trivial spec is trivial:<k>") from None
-        if k < 1:
-            raise UsageError("trivial representation needs k >= 1")
-        return trivial_representation(pres, k, dom or QQ)
-    if spec.startswith("perm:"):
-        rest = spec.split(":", 1)[1]
-        degree_text, _, assigns = rest.partition(":")
-        try:
-            degree = int(degree_text)
-        except ValueError:
-            raise UsageError("perm spec is perm:<degree>:g=(..),h=(..)")
-        cycles = {}
-        for part in _split_assignments(assigns):
-            name, eq, value = part.partition("=")
-            name = name.strip()
-            if not eq:
-                raise UsageError(f"bad permutation assignment {part!r}")
-            if name in cycles:
-                raise UsageError(f"generator {name!r} assigned twice")
-            cycles[name] = value.strip()
-        try:
-            q = permutation_quotient(pres, degree, cycles)
-        except GroupError as e:
-            raise UsageError(str(e)) from e
-        return permutation_representation(q, dom or QQ)
-    return representation_from_document(parse_rep(_read_text(spec)), pres, dom)
-
-
-def _split_assignments(text):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+    """--rep value: a file path, or `trivial:k` or `perm:<degree>:x=(..)`,
+    which spell a file's lines (`scxio.inline_rep`).  `dom` is the --field
+    value or None.  A malformed inline spec is a usage error; a malformed
+    file is bad data."""
+    if not spec.startswith(("trivial:", "perm:")):
+        return representation_from_document(parse_rep(_read_text(spec)), pres,
+                                            dom)
+    try:
+        return representation_from_document(inline_rep(spec), pres, dom)
+    except ParseError as e:
+        raise UsageError(f"--rep: {e}") from e
 
 
 def representation_from_document(doc: RepDocument, pres, dom):
@@ -161,20 +118,13 @@ def resolve_phi(spec: str, doc):
     usage error, a declared one is bad data.
     """
     if spec.startswith("inline:"):
-        values = {}
-        for part in spec.split(":", 1)[1].split(","):
-            name, eq, val = part.partition("=")
-            name = name.strip()
-            if not eq:
-                raise UsageError(f"bad phi assignment {part!r}")
+        try:
+            values = parse_assignments(spec.partition(":")[2].split(","), int)
+        except ParseError as e:
+            raise UsageError(f"--phi: {e}") from e
+        for name in values:
             if name not in doc.gens:
                 raise UsageError(f"phi names unknown generator {name!r}")
-            if name in values:
-                raise UsageError(f"phi assigns {name!r} twice")
-            try:
-                values[name] = int(val)
-            except ValueError:
-                raise UsageError(f"phi value {val!r} is not an integer") from None
         error = UsageError
     elif spec in doc.phis:
         values = doc.phis[spec]

@@ -11,8 +11,8 @@ Grammar (one directive per line, `# ...` comments ignored):
     meta phi <name> <gen>=<int> ...
     meta <key> <value...>
 
-A cell has at most one `bnd` line, and a subcomplex, phi class or meta key is
-given once: a repeat is a ParseError, not a silent override.
+A cell has at most one `bnd` line, a subcomplex, phi class or meta key is
+given once and a `sub` line names each cell once: a repeat is a ParseError.
 
 Documents round-trip: parse(serialize(doc)) == doc, and serialize emits a
 canonical ordering.  Boundary terms are kept exactly as written (including
@@ -72,16 +72,52 @@ class ScxDocument:
         return cx
 
     def meta_flag(self, key: str) -> bool:
-        return self.metas.get(key, "0").strip() not in ("0", "", "false", "no")
+        return _flag(f"meta {key}", self.metas.get(key, "0"))
 
     def meta_int(self, key: str, default=None):
-        if key not in self.metas:
-            return default
+        return (_int(f"meta {key}", self.metas[key]) if key in self.metas
+                else default)
+
+
+def _flag(key, text, line=None) -> bool:
+    """A `meta` flag or the rep-file `unitary` line: 0/1, false/true or
+    no/yes in any case; any other value, the empty one too, is malformed."""
+    word = text.strip().lower()
+    if word not in ("0", "1", "false", "true", "no", "yes"):
+        raise ParseError(f"{key} must be 0/1, false/true or no/yes,"
+                         f" got {text!r}", line)
+    return word in ("1", "true", "yes")
+
+
+def _int(key, text, line=None, low=None) -> int:
+    """A `meta` integer or a rep-file size (`low` 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {text!r}",
+                         line) from None
+    if low is not None and value < low:
+        raise ParseError(f"{key} must be >= {low}", line)
+    return value
+
+
+def parse_assignments(parts, convert, line=None) -> dict:
+    """`name=value` parts (`meta phi`, `--phi inline:`, `perm:` images) as
+    {name: convert(value)}; a part without `=`, a repeated name or a value
+    `convert` rejects with ValueError is a ParseError at `line`."""
+    values = {}
+    for part in parts:
+        name, eq, text = part.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ParseError(f"expected name=value, got {part!r}", line)
+        if name in values:
+            raise ParseError(f"{name!r} assigned twice", line)
         try:
-            return int(self.metas[key])
+            values[name] = convert(text)
         except ValueError:
-            raise ParseError(f"meta {key} must be an integer,"
-                             f" got {self.metas[key]!r}") from None
+            raise ParseError(f"bad value {text!r} for {name!r}", line) from None
+    return values
 
 
 def parse_scx(text: str) -> ScxDocument:
@@ -144,7 +180,13 @@ def parse_scx(text: str) -> ScxDocument:
             if tokens[1] in sub_texts:
                 raise ParseError(f"subcomplex {tokens[1]!r} declared twice",
                                  lineno)
-            sub_texts[tokens[1]] = (tuple(tokens[3:]), lineno)
+            members = tuple(tokens[3:])
+            if len(set(members)) < len(members):
+                twice = next(c for i, c in enumerate(members)
+                             if c in members[:i])
+                raise ParseError(f"subcomplex {tokens[1]!r} lists cell"
+                                 f" {twice!r} twice", lineno)
+            sub_texts[tokens[1]] = (members, lineno)
         elif kind == "meta":
             if len(tokens) < 2:
                 raise ParseError("meta needs a key", lineno)
@@ -153,21 +195,8 @@ def parse_scx(text: str) -> ScxDocument:
                     raise ParseError("meta phi needs a class name", lineno)
                 if tokens[2] in doc.phis:
                     raise ParseError(f"phi {tokens[2]!r} given twice", lineno)
-                values = {}
-                for assign in tokens[3:]:
-                    gname, eq, val = assign.partition("=")
-                    if not eq:
-                        raise ParseError(f"bad phi assignment {assign!r}",
-                                         lineno, raw.find(assign) + 1)
-                    if gname in values:
-                        raise ParseError(f"phi assigns {gname!r} twice",
-                                         lineno, raw.find(assign) + 1)
-                    try:
-                        values[gname] = int(val)
-                    except ValueError:
-                        raise ParseError(f"phi value {val!r} is not an integer",
-                                         lineno, raw.find(val) + 1) from None
-                doc.phis[tokens[2]] = values
+                doc.phis[tokens[2]] = parse_assignments(tokens[3:], int,
+                                                        lineno)
                 phi_lines[tokens[2]] = lineno
             else:
                 if tokens[1] in doc.metas:
@@ -278,16 +307,6 @@ _REP_DIRECTIVES = {"trivial": ("dim", "field"),
                    "matrix": ("dim", "field", "gen", "unitary")}
 
 
-def _size(key, text, lineno) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"{key} must be an integer", lineno) from None
-    if value < 1:
-        raise ParseError(f"{key} must be >= 1", lineno)
-    return value
-
-
 def parse_rep(text: str) -> RepDocument:
     """Parse a representation file.  The first line is `rep 1`; a directive
     other than `gen` given twice, or one that its kind does not read
@@ -317,13 +336,13 @@ def parse_rep(text: str) -> RepDocument:
             if kind not in _REP_DIRECTIVES:
                 raise ParseError(f"unknown representation kind {kind!r}", lineno)
         elif key == "dim":
-            dim = _size(key, rest, lineno)
+            dim = _int(key, rest, lineno, low=1)
         elif key == "degree":
-            degree = _size(key, rest, lineno)
+            degree = _int(key, rest, lineno, low=1)
         elif key == "field":
             field_tag = rest.strip()
         elif key == "unitary":
-            unitary = rest.strip() not in ("0", "false", "no")
+            unitary = _flag(key, rest, lineno)
         elif key == "gen":
             name, eq, value = rest.partition("=")
             if not eq:
@@ -365,3 +384,33 @@ def parse_rep(text: str) -> RepDocument:
                                  f" expected {dim}", lineno)
             doc.matrices[name] = rows
     return doc
+
+
+def inline_rep(spec: str) -> RepDocument:
+    """The rep document `trivial:k` (`kind trivial`, `dim k`) or
+    `perm:<degree>:x=(..),y=(..)` (`kind perm`, `degree`, `gen`s) spells."""
+    kind, _, rest = spec.partition(":")
+    doc = RepDocument(kind)
+    if kind == "trivial":
+        doc.dim = _int("k of trivial:<k>", rest, low=1)
+    elif kind == "perm":
+        degree, _, images = rest.partition(":")
+        doc.degree = _int("degree of perm:<degree>", degree, low=1)
+        doc.perms = parse_assignments(_split_assignments(images), str.strip)
+    else:
+        raise ParseError(f"no inline representation kind {kind!r}")
+    return doc
+
+
+def _split_assignments(text):
+    """Split `perm:` images at the commas outside parentheses, so that
+    (1,2,3) is one cycle; an empty last part is dropped."""
+    parts = []
+    for piece in text.split(","):
+        if parts and parts[-1].count("(") > parts[-1].count(")"):
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+    if not parts[-1]:
+        parts.pop()
+    return parts

@@ -123,6 +123,10 @@ class ValidationReport:
     def __str__(self):
         return "\n".join(f"{level}: {msg}" for level, msg in self.entries)
 
+    def require_ok(self):
+        if not self.ok:
+            raise PreconditionError("validation failed:\n" + str(self))
+
 
 def validate(sc: SuturedComplex) -> ValidationReport:
     """Structural invariants of the sutured decomposition."""
@@ -177,10 +181,10 @@ def validate(sc: SuturedComplex) -> ValidationReport:
 def certify_taut(sc: SuturedComplex) -> Verdict:
     """Test b1(M, R-) = 0 under the trivial representation over Q.
 
-    Preconditions (the criterion's hypotheses): balanced, irreducibility
-    asserted, excluded shapes not declared.  On success the witness carries
-    the representation, the vanishing pair vector and b(M, R+); otherwise
-    the verdict is "unknown".
+    Preconditions (the criterion's hypotheses): `validate` passes, balanced,
+    irreducibility asserted, excluded shapes not declared.  On success the
+    witness carries the representation, the vanishing pair vector and
+    b(M, R+); otherwise the verdict is "unknown".
 
     No permutation representation can certify where the trivial one fails:
     since n is invertible in Q, Q^n = Q.(1, ..., 1) + A (A the sum-zero
@@ -190,6 +194,7 @@ def certify_taut(sc: SuturedComplex) -> Verdict:
     """
     if not sc.has_sutured_structure():
         raise PreconditionError("no R-/R+ sutured structure declared")
+    validate(sc).require_ok()
     if not sc.is_balanced():
         raise PreconditionError(
             f"not balanced: chi(R-) = {sc.chi_of('R-')},"
@@ -309,9 +314,7 @@ class BoundReport(Frozen):
 
 def complexity_lower_bound(sc: SuturedComplex, rep) -> BoundReport:
     """Lower bound for the complexity of the sutured decomposition."""
-    report = validate(sc)
-    if not report.ok:
-        raise PreconditionError("validation failed:\n" + str(report))
+    validate(sc).require_ok()
     if not sc.irreducible:
         raise PreconditionError("irreducibility is not asserted in metadata")
     for name in ("R-", "R+"):
@@ -356,9 +359,7 @@ def double(sc: SuturedComplex) -> DoubleResult:
     land on a shared cell in component C are corrected by left multiplication
     with C's stable letter.
     """
-    report = validate(sc)
-    if not report.ok:
-        raise PreconditionError("validation failed:\n" + str(report))
+    validate(sc).require_ok()
     rminus_cells = sc.sub_cells("R-")
     rplus_cells = sc.sub_cells("R+")
     if not rminus_cells or not rplus_cells:

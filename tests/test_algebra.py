@@ -140,6 +140,16 @@ class TestLaurent:
         with pytest.raises(AlgebraError):
             field_by_tag("f4")
 
+    def test_oversized_tag_refused_before_trial_division(self, monkeypatch):
+        """A tag of 2^31 or more fails on its size at once: trial division
+        of (2^31 - 1)^2 would take about 2 * 10^9 steps."""
+        import scx.algebra
+        monkeypatch.setattr(scx.algebra, "_is_prime",
+                            lambda p: pytest.fail(f"trial division of {p}"))
+        for p in (2**31, 1000003**2, (2**31 - 1)**2):
+            with pytest.raises(AlgebraError, match="not a supported prime"):
+                field_by_tag(f"f{p}")
+
 
 P = 2**31 - 1
 

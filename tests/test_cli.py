@@ -5,11 +5,12 @@ import subprocess
 import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from scx.cli import (EX_DATA, EX_FAIL, EX_OK, EX_UNKNOWN, EX_USAGE,
-                     bundled_names, main)
+                     bundled_names, load_document, main)
 from scx.groups import FiniteQuotient
 from scx.models import BUILDERS
 from scx.scxio import ScxDocument
@@ -296,6 +297,158 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "quotients", f"bundled:{name}",
                            "--max-degree", "4", "--transitive")
         assert code == EX_OK and out == "total: 0\n"
+
+
+def _product_T1(tmp_path, old, new):
+    """product_T1's text with one line replaced, written to a file."""
+    text = (resources.files("scx.data") / "product_T1.scx").read_text()
+    if old not in text.splitlines():
+        raise ValueError(f"no line {old!r}")
+    path = tmp_path / "edited.scx"
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    return str(path)
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("value,code", [
+        ("1", EX_OK), ("true", EX_OK), ("Yes", EX_OK), ("TRUE", EX_OK),
+        ("0", EX_FAIL), ("False", EX_FAIL), ("NO", EX_FAIL), ("no", EX_FAIL),
+        ("", EX_DATA), ("2", EX_DATA), ("maybe", EX_DATA)])
+    def test_flag_values(self, capsys, tmp_path, value, code):
+        """0/1, false/true, no/yes in any case; anything else is bad data."""
+        path = _product_T1(tmp_path, "meta irreducible 1",
+                           f"meta irreducible {value}")
+        got, out, err = run(capsys, "certify-taut", path)
+        assert got == code, out + err
+        if code == EX_OK:
+            assert "witness.assumptions: irreducible (user-asserted)" in out
+        elif code == EX_FAIL:
+            assert err == ("refused: irreducibility is not asserted in"
+                           " metadata\n")
+        else:
+            assert err.startswith("error: meta irreducible must be 0/1")
+
+    def test_sub_lists_a_cell_twice(self, capsys, tmp_path):
+        path = _product_T1(tmp_path, "sub R- = vm am bm",
+                           "sub R- = vm am bm vm")
+        for command in ("check", "certify-taut"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (EX_DATA, ""), command
+            assert err == ("error: subcomplex 'R-' lists cell 'vm' twice"
+                           " (line 20)\n")
+
+    def test_certify_taut_validates(self, capsys, tmp_path):
+        """certify-taut refuses a structure that check and bounds reject."""
+        path = _product_T1(tmp_path, "meta sutures 1", "meta sutures 0")
+        Path(path).write_text(Path(path).read_text().replace(
+            "meta chi_rminus -1", "meta chi_rminus 7"))
+        code, out, _ = run(capsys, "check", path)
+        assert code == EX_FAIL and out.count("error: ") == 2
+        for command in ("certify-taut", "bounds"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (EX_FAIL, ""), command
+            assert err.startswith("refused: validation failed:\n"), command
+            assert "error: suture count must be a positive integer" in err
+            assert "error: chi(R-) = -1 but metadata says 7" in err
+
+    def test_oversized_field_tag_fails_at_once(self, capsys, tmp_path,
+                                               monkeypatch):
+        """(2^31 - 1)^2 is refused by its size, before any trial division."""
+        import scx.algebra
+
+        def no_trial_division(p):
+            raise RuntimeError(f"trial division of {p}")
+        monkeypatch.setattr(scx.algebra, "_is_prime", no_trial_division)
+        tag = f"f{(2**31 - 1) ** 2}"
+        code, _, err = run(capsys, "homology", "bundled:product_T1",
+                           "--field", tag)
+        assert code == EX_USAGE and "not a supported prime" in err
+        rep = tmp_path / "rep.txt"
+        rep.write_text(f"rep 1\nkind trivial\nfield {tag}\n")
+        code, _, err = run(capsys, "homology", "bundled:product_T1",
+                           "--rep", str(rep))
+        assert code == EX_DATA and "not a supported prime" in err
+
+
+class TestInlineSpellings:
+    """An inline --rep or --phi value and the file lines it spells give the
+    same representation or class; malformed, the inline value is a usage
+    error (64) and the file is bad data (65)."""
+
+    @pytest.mark.parametrize("name,spec,body,field", [
+        ("product_T1", "trivial:1", "kind trivial\ndim 1\n", []),
+        ("product_T1", "trivial:3", "kind trivial\ndim 3\n", []),
+        ("product_T1", "perm:3:a=(1 2 3),b=(1 2)",
+         "kind perm\ndegree 3\ngen a = (1 2 3)\ngen b = (1 2)\n", []),
+        ("product_T1", "perm:4:b=(1 3)(2 4)",
+         "kind perm\ndegree 4\ngen b = (1 3)(2 4)\n", []),
+        ("trefoil", "perm:3:x=(1 2),y=(2 3)",
+         "kind perm\ndegree 3\ngen x = (1 2)\ngen y = (2 3)\n", []),
+        ("trefoil", "perm:3:x=(1,2),y=(2,3)",
+         "kind perm\ndegree 3\ngen x = (1,2)\ngen y = (2,3)\n", []),
+        ("product_T1", "trivial:2", "kind trivial\ndim 2\n",
+         ["--field", "f5"]),
+        ("trefoil", "perm:3:x=(1 2),y=(2 3)",
+         "kind perm\ndegree 3\ngen x = (1 2)\ngen y = (2 3)\n",
+         ["--field", "f5"])])
+    def test_same_representation(self, capsys, tmp_path, name, spec, body,
+                                 field):
+        from scx.cli import build_parser, resolve_representation
+        path = tmp_path / "rep.txt"
+        path.write_text("rep 1\n" + body)
+        dom = build_parser().parse_args(["homology", "x", *field]).field
+        pres = load_document(f"bundled:{name}").presentation()
+        inline = resolve_representation(spec, pres, dom)
+        filed = resolve_representation(str(path), pres, dom)
+        assert inline.describe() == filed.describe()
+        assert inline.dom is filed.dom
+        assert [m.rows for m in inline.mats] == [m.rows for m in filed.mats]
+        outs = [run(capsys, "homology", f"bundled:{name}", "--rep", rep,
+                    *field) for rep in (spec, str(path))]
+        assert outs[0] == outs[1] and outs[0][0] == EX_OK
+
+    @pytest.mark.parametrize("spec,body", [
+        ("trivial:0", "kind trivial\ndim 0\n"),
+        ("trivial:abc", "kind trivial\ndim abc\n"),
+        ("perm:x:", "kind perm\ndegree x\n"),
+        ("perm:0:", "kind perm\ndegree 0\n"),
+        ("perm:3:a=(1 2", "kind perm\ndegree 3\ngen a = (1 2\n"),
+        ("perm:3:a=(1 2)(1 3)", "kind perm\ndegree 3\ngen a = (1 2)(1 3)\n"),
+        ("perm:3:zz=(1 2)", "kind perm\ndegree 3\ngen zz = (1 2)\n"),
+        ("perm:3:a=(1 2),a=(1 3)",
+         "kind perm\ndegree 3\ngen a = (1 2)\ngen a = (1 3)\n"),
+        ("perm:3:a", "kind perm\ndegree 3\ngen a\n")])
+    def test_malformed(self, capsys, tmp_path, spec, body):
+        path = tmp_path / "rep.txt"
+        path.write_text("rep 1\n" + body)
+        code, out, err = run(capsys, "homology", "bundled:product_T1",
+                             "--rep", spec)
+        assert (code, out) == (EX_USAGE, "") and err.startswith("usage error:")
+        code, out, err = run(capsys, "homology", "bundled:product_T1",
+                             "--rep", str(path))
+        assert (code, out) == (EX_DATA, "") and err.startswith("error:")
+
+    def test_same_phi(self):
+        from scx.cli import resolve_phi
+        from scx.scxio import parse_scx
+        doc = parse_scx("scx 1\ngen x y\nmeta phi c x=1 y=0\n")
+        assert (resolve_phi("inline:x=1,y=0", doc).values
+                == resolve_phi("c", doc).values == {"x": 1, "y": 0})
+
+    def test_same_phi_on_trefoil(self, capsys, tmp_path):
+        inline = run(capsys, "alex", "bundled:trefoil", "--phi",
+                     "inline:x=1,y=1")
+        assert inline == run(capsys, "alex", "bundled:trefoil", "--phi", "ab")
+        assert inline[0] == EX_OK
+        text = (resources.files("scx.data") / "trefoil.scx").read_text()
+        path = tmp_path / "phi.scx"
+        path.write_text(text.replace("meta phi ab x=1 y=1",
+                                     "meta phi ab x=1 y=0"))
+        code, _, err = run(capsys, "alex", str(path), "--phi", "ab")
+        assert code == EX_DATA and "does not vanish" in err
+        code, _, err = run(capsys, "alex", "bundled:trefoil", "--phi",
+                           "inline:x=1,y=0")
+        assert code == EX_USAGE and "does not vanish" in err
 
 
 class TestUsageAndErrors:

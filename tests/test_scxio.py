@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scx.models import BUILDERS
-from scx.scxio import ParseError, parse_rep, parse_scx, serialize_scx
+from scx.scxio import (ParseError, inline_rep, parse_assignments, parse_rep,
+                       parse_scx, serialize_scx)
 
 from conftest import random_presentation_doc
 
@@ -85,6 +86,92 @@ class TestGrammar:
             parse_scx(f"# comment\n{header}\ngen a\n")
         assert f"bad header {header!r}" in str(e.value)
         assert "only format version 1" in str(e.value) and e.value.line == 2
+
+
+    def test_sub_lists_each_cell_once(self):
+        text = MINIMAL.replace("sub R- = q m", "sub R- = q m q")
+        with pytest.raises(ParseError) as e:
+            parse_scx(text)
+        assert "lists cell 'q' twice" in str(e.value)
+        assert e.value.line == text.splitlines().index("sub R- = q m q") + 1
+
+
+# (value, what it reads as); None marks a malformed value
+FLAGS = [("0", False), ("1", True), ("false", False), ("true", True),
+         ("no", False), ("yes", True), ("False", False), ("NO", False),
+         ("Yes", True), ("TRUE", True), ("", None), ("2", None),
+         ("maybe", None), ("on", None), ("yes please", None)]
+
+
+class TestFlags:
+    """`meta` flags and the rep-file `unitary` line share one strict rule."""
+
+    @pytest.mark.parametrize("value,flag", FLAGS)
+    def test_meta_flag(self, value, flag):
+        doc = parse_scx(f"scx 1\nmeta irreducible {value}\n")
+        if flag is None:
+            with pytest.raises(ParseError, match="meta irreducible"):
+                doc.meta_flag("irreducible")
+        else:
+            assert doc.meta_flag("irreducible") is flag
+
+    def test_absent_meta_flag_is_false(self):
+        assert parse_scx("scx 1\n").meta_flag("irreducible") is False
+
+    @pytest.mark.parametrize("value,flag", FLAGS)
+    def test_unitary_line(self, value, flag):
+        text = f"rep 1\nkind matrix\ndim 1\nunitary {value}\n"
+        if flag is None:
+            with pytest.raises(ParseError, match="unitary") as e:
+                parse_rep(text)
+            assert e.value.line == 4
+        else:
+            assert parse_rep(text).unitary_assertion is flag
+
+
+class TestAssignments:
+    def test_reads_and_converts(self):
+        assert parse_assignments(["x=1", " y = -2"], int) == {"x": 1, "y": -2}
+        assert parse_assignments([], int) == {}
+
+    @pytest.mark.parametrize("parts,message", [
+        (["x=1", "y"], "expected name=value, got 'y'"),
+        (["x=1", "x=2"], "'x' assigned twice"),
+        (["x=q"], "bad value 'q' for 'x'")])
+    def test_malformed(self, parts, message):
+        with pytest.raises(ParseError) as e:
+            parse_assignments(parts, int, 7)
+        assert message in str(e.value) and e.value.line == 7
+
+    @pytest.mark.parametrize("line,message", [
+        ("meta phi c x=1 y", "expected name=value"),
+        ("meta phi c x=1 x=0", "'x' assigned twice"),
+        ("meta phi c x=1.5", "bad value '1.5'")])
+    def test_meta_phi_keeps_its_line(self, line, message):
+        with pytest.raises(ParseError) as e:
+            parse_scx(f"scx 1\ngen x y\n{line}\n")
+        assert message in str(e.value) and e.value.line == 3
+
+
+class TestInlineRep:
+    """An inline --rep value is the document of the file lines it spells."""
+
+    @pytest.mark.parametrize("spec,text", [
+        ("trivial:3", "kind trivial\ndim 3\n"),
+        ("perm:3:x=(1 2 3),y=(1,2)", "kind perm\ndegree 3\n"
+         "gen x = (1 2 3)\ngen y = (1,2)\n"),
+        ("perm:2:", "kind perm\ndegree 2\n"),
+        ("perm:2", "kind perm\ndegree 2\n")])
+    def test_same_document(self, spec, text):
+        assert vars(inline_rep(spec)) == vars(parse_rep("rep 1\n" + text))
+
+    @pytest.mark.parametrize("spec", [
+        "trivial:", "trivial:0", "trivial:x", "perm:0:", "perm:x:",
+        "perm:3:x", "perm:3:x=(1 2),x=(1 3)", "matrix:2"])
+    def test_malformed(self, spec):
+        with pytest.raises(ParseError) as e:
+            inline_rep(spec)
+        assert e.value.line is None
 
 
 class TestBundledShape:

@@ -73,6 +73,12 @@ class TestCertifyTaut:
         with pytest.raises(PreconditionError):
             certify_taut(SuturedComplex(doc))
 
+    def test_invalid_structure_refused(self):
+        doc = load_document("bundled:product_T1")
+        doc.metas["sutures"] = "0"
+        with pytest.raises(PreconditionError, match="validation failed"):
+            certify_taut(SuturedComplex(doc))
+
     def test_slope2_certified(self, sutured):
         verdict = certify_taut(sutured["slope2_solidtorus"])
         assert verdict.status == "certified-taut"
