@@ -142,13 +142,8 @@ class PrimeField:
             return self.of(QQ.of(x))
         raise AlgebraError(f"cannot coerce {x!r} into {self.name}")
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -194,8 +189,13 @@ def field_by_tag(tag: str):
     tag = tag.lower()
     if tag == "q":
         return QQ
-    if tag.startswith("f") and tag[1:].isdigit():
-        return GF(int(tag[1:]))
+    digits = tag[1:]
+    # int() refuses '²' and long texts; a prime below 2^31 has <= 10 digits
+    if tag.startswith("f") and digits.isascii() and digits.isdigit():
+        if len(digits) > 10:
+            raise AlgebraError(f"a number of {len(digits)} digits is not a"
+                               " supported prime")
+        return GF(int(digits))
     raise AlgebraError(f"unknown field tag {tag!r}")
 
 
@@ -301,8 +301,7 @@ class LaurentRing:
         return a.is_zero()
 
     def eq(self, a: LaurentPoly, b: LaurentPoly) -> bool:
-        return a.low == b.low and len(a.coeffs) == len(b.coeffs) and all(
-            self.base.eq(x, y) for x, y in zip(a.coeffs, b.coeffs))
+        return a == b
 
     def divmod_shifted(self, a: LaurentPoly, b: LaurentPoly):
         """(q, r) with a = q*b + r and span(r) < span(b).
@@ -584,12 +583,10 @@ def kernel_basis(mat: Matrix) -> Matrix:
 def inverse(mat: Matrix) -> Matrix:
     if mat.m != mat.n:
         raise AlgebraError("inverse of non-square matrix")
-    d = mat.dom
-    aug = mat.hstack(Matrix.identity(d, mat.n))
-    R, pivots = rref(aug)
-    if pivots[: mat.n] != list(range(mat.n)):
+    inv = solve(mat, Matrix.identity(mat.dom, mat.n))
+    if inv is None:
         raise AlgebraError("singular matrix")
-    return R.columns(list(range(mat.n, 2 * mat.n)))
+    return inv
 
 
 def solve(mat: Matrix, target: Matrix):

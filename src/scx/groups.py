@@ -317,15 +317,22 @@ def check_hom(pres: GroupPresentation, images) -> bool:
     if len(images) != pres.ngens:
         raise GroupError("one image required per generator")
     if pres.ngens and isinstance(images[0], Matrix):
-        rep = Representation(pres, images[0].m, images[0].dom, tuple(images),
-                             tuple(inverse(m) for m in images), "", False)
-        ident = Matrix.identity(rep.dom, rep.dim)
-        return all(eval_word(rep, r) == ident for r in pres.relators)
-    n = len(images[0]) if images else 1
-    for r in pres.relators:
-        if eval_word_perm(images, r, n) != perm_identity(n):
-            return False
-    return True
+        return _matrices_satisfy(Representation(
+            pres, images[0].m, images[0].dom, tuple(images),
+            tuple(inverse(m) for m in images), "", False))
+    return _perms_satisfy(pres.relators, images, len(images[0]) if images else 1)
+
+
+def _perms_satisfy(relators, images, n) -> bool:
+    """Every relator maps to the identity of S_n under the images."""
+    return all(eval_word_perm(images, r, n) == perm_identity(n)
+               for r in relators)
+
+
+def _matrices_satisfy(rep: Representation) -> bool:
+    """Every relator of rep's group maps to the identity matrix."""
+    ident = Matrix.identity(rep.dom, rep.dim)
+    return all(eval_word(rep, r) == ident for r in rep.pres.relators)
 
 
 def _quotient(pres: GroupPresentation, degree: int, images) -> FiniteQuotient:
@@ -360,16 +367,19 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
 
     Deterministic: degrees ascending, then lexicographic on the tuple of
     permutation tuples.  Backtracking prunes as soon as every generator of
-    some relator is assigned and the relator fails.
+    some relator is assigned and the relator fails: `completed[i]` holds the
+    relators whose last generator is i + 1, tested once generator i has its
+    image.
     """
     if max_degree < 1:
         raise GroupError("max_degree must be >= 1")
     ngens = pres.ngens
+    completed = [[] for _ in range(ngens)]
+    for r in pres.relators:
+        if r:
+            completed[max(abs(k) for k in r) - 1].append(r)
     for n in range(2, max_degree + 1):
         perms = list(itertools.permutations(range(n)))
-        relator_support = []
-        for r in pres.relators:
-            relator_support.append(max((abs(k) for k in r), default=0))
         assignment = [None] * ngens
 
         def extend(i):
@@ -380,13 +390,7 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
                 return
             for p in perms:
                 assignment[i] = p
-                ok = True
-                for r, sup in zip(pres.relators, relator_support):
-                    if sup == i + 1:
-                        if eval_word_perm(assignment, r, n) != perm_identity(n):
-                            ok = False
-                            break
-                if ok:
+                if _perms_satisfy(completed[i], assignment, n):
                     yield from extend(i + 1)
             assignment[i] = None
 
@@ -431,8 +435,7 @@ def make_representation(pres, mats, provenance="user-supplied",
     except AlgebraError as e:
         raise GroupError(f"generator matrix not invertible: {e}") from e
     rep = Representation(pres, dim, dom, tuple(mats), invs, provenance, unitary)
-    ident = Matrix.identity(dom, dim)
-    if any(eval_word(rep, r) != ident for r in pres.relators):
+    if not _matrices_satisfy(rep):
         raise GroupError("matrices do not satisfy the relators")
     return rep
 
@@ -451,14 +454,20 @@ def permutation_matrix(dom, perm) -> Matrix:
     return Matrix(dom, rows, n, n)
 
 
-def permutation_representation(q: FiniteQuotient, dom=QQ) -> Representation:
-    """k = degree; generators act by their image permutation matrices.
+def _action_representation(pres, k, perms, dom, provenance) -> Representation:
+    """Generator i acts on dom^k by the permutation matrix of perms[i].
 
     Permutation matrices are orthogonal, hence unitary over C.
     """
-    mats = tuple(permutation_matrix(dom, p) for p in q.images)
-    invs = tuple(permutation_matrix(dom, perm_inv(p)) for p in q.images)
-    return Representation(q.pres, q.degree, dom, mats, invs, "permutation", True)
+    mats = tuple(permutation_matrix(dom, p) for p in perms)
+    invs = tuple(permutation_matrix(dom, perm_inv(p)) for p in perms)
+    return Representation(pres, k, dom, mats, invs, provenance, True)
+
+
+def permutation_representation(q: FiniteQuotient, dom=QQ) -> Representation:
+    """k = degree; generators act by their image permutation matrices."""
+    return _action_representation(q.pres, q.degree, q.images, dom,
+                                  "permutation")
 
 
 def regular_representation(q: FiniteQuotient, dom=QQ, cap=64) -> Representation:
@@ -470,14 +479,9 @@ def regular_representation(q: FiniteQuotient, dom=QQ, cap=64) -> Representation:
         raise SizeLimitError(f"image has {len(elements)} elements, more"
                              f" than {cap}")
     index = {g: i for i, g in enumerate(elements)}
-    mats = []
-    invs = []
-    for p in q.images:
-        action = tuple(index[perm_mul(p, g)] for g in elements)
-        mats.append(permutation_matrix(dom, action))
-        invs.append(permutation_matrix(dom, perm_inv(action)))
-    return Representation(q.pres, len(elements), dom, tuple(mats), tuple(invs),
-                          "regular-of-quotient", True)
+    actions = [tuple(index[perm_mul(p, g)] for g in elements) for p in q.images]
+    return _action_representation(q.pres, len(elements), actions, dom,
+                                  "regular-of-quotient")
 
 
 def eval_word(rep: Representation, word) -> Matrix:

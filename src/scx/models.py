@@ -99,9 +99,10 @@ def _close_three_cell(boundaries, band_cells, disk_cell):
 # generic builders
 
 
-def presentation_complex(gen_names, relator_texts, phi=None, phi_name="ab",
-                         metas=None) -> ScxDocument:
-    """One vertex, one edge per generator, one 2-cell per relator."""
+def presentation_complex(gen_names, relator_texts, phi=None) -> ScxDocument:
+    """One vertex, one edge per generator, one 2-cell per relator; `phi`,
+    if given, is declared as the class `ab`.  With no relators this is a
+    wedge of circles."""
     doc = ScxDocument()
     doc.gens = tuple(gen_names)
     pres = doc.presentation()
@@ -118,8 +119,7 @@ def presentation_complex(gen_names, relator_texts, phi=None, phi_name="ab",
     doc.cells = tuple(cells)
     doc.boundaries = boundaries
     if phi is not None:
-        doc.phis[phi_name] = dict(phi)
-    doc.metas.update(metas or {})
+        doc.phis["ab"] = dict(phi)
     return doc
 
 
@@ -163,8 +163,7 @@ def interval_product(base: ScxDocument, subs=True) -> ScxDocument:
 
 
 def product_disk() -> ScxDocument:
-    base = ScxDocument(gens=(), cells=(("v", 0),), boundaries={})
-    doc = interval_product(base)
+    doc = interval_product(presentation_complex((), []))
     doc.metas.update({
         "name": "product_D2",
         "witnesses": "product sutured manifold over a disk: vanishing pair"
@@ -178,9 +177,7 @@ def product_disk() -> ScxDocument:
 
 
 def product_annulus() -> ScxDocument:
-    base = ScxDocument(gens=("a",), cells=(("v", 0), ("a", 1)),
-                       boundaries={"a": ((1, (1,), "v"), (-1, (), "v"))})
-    doc = interval_product(base)
+    doc = interval_product(presentation_complex(("a",), []))
     doc.metas.update({
         "name": "product_A1",
         "witnesses": "product sutured manifold over an annulus: vanishing pair"
@@ -195,11 +192,7 @@ def product_annulus() -> ScxDocument:
 
 
 def product_punctured_torus() -> ScxDocument:
-    base = ScxDocument(
-        gens=("a", "b"), cells=(("v", 0), ("a", 1), ("b", 1)),
-        boundaries={"a": ((1, (1,), "v"), (-1, (), "v")),
-                    "b": ((1, (2,), "v"), (-1, (), "v"))})
-    doc = interval_product(base)
+    doc = interval_product(presentation_complex(("a", "b"), []))
     doc.metas.update({
         "name": "product_T1",
         "witnesses": "product sutured manifold over a once-punctured torus:"
@@ -403,10 +396,7 @@ def fibered_cut():
     inclusions (the right one twisted by the monodromy) and the stable
     letter t of the glued group, as a word."""
     from .chain import CellMap
-    fiber = ScxDocument(
-        gens=("a", "b"), cells=(("v", 0), ("a", 1), ("b", 1)),
-        boundaries={"a": ((1, (1,), "v"), (-1, (), "v")),
-                    "b": ((1, (2,), "v"), (-1, (), "v"))})
+    fiber = presentation_complex(("a", "b"), [])
     xminus_doc = interval_product(fiber, subs=False)
     fcx = fiber.complex()
     xcx = xminus_doc.complex()

@@ -35,7 +35,9 @@ class ParseError(Exception):
 
 
 class ScxDocument:
-    """A parsed .scx file; mutable, and == compares every field."""
+    """A parsed .scx file; mutable.  == compares every field but
+    `meta_lines`, the line each `meta` key was read from, which only
+    locates errors in their values."""
 
     def __init__(self, gens: tuple = (), relators: tuple = (),
                  cells: tuple = (), boundaries: dict | None = None,
@@ -48,11 +50,13 @@ class ScxDocument:
         self.subs = {} if subs is None else subs     # name -> cell names
         self.metas = {} if metas is None else metas  # key -> string value
         self.phis = {} if phis is None else phis     # name -> {gen: int}
+        self.meta_lines = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return ({**vars(self), "meta_lines": None}
+                == {**vars(other), "meta_lines": None})
 
     def presentation(self) -> GroupPresentation:
         return GroupPresentation(self.gens, self.relators)
@@ -72,11 +76,12 @@ class ScxDocument:
         return cx
 
     def meta_flag(self, key: str) -> bool:
-        return _flag(f"meta {key}", self.metas.get(key, "0"))
+        return _flag(f"meta {key}", self.metas.get(key, "0"),
+                     self.meta_lines.get(key))
 
     def meta_int(self, key: str, default=None):
-        return (_int(f"meta {key}", self.metas[key]) if key in self.metas
-                else default)
+        return (_int(f"meta {key}", self.metas[key], self.meta_lines.get(key))
+                if key in self.metas else default)
 
 
 def _flag(key, text, line=None) -> bool:
@@ -202,6 +207,7 @@ def parse_scx(text: str) -> ScxDocument:
                 if tokens[1] in doc.metas:
                     raise ParseError(f"meta {tokens[1]!r} given twice", lineno)
                 doc.metas[tokens[1]] = " ".join(tokens[2:])
+                doc.meta_lines[tokens[1]] = lineno
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, 1)
     if not saw_header:

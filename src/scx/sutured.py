@@ -84,13 +84,12 @@ class SuturedComplex:
         return self.ref("R+")
 
     def chi_of(self, name: str) -> int:
-        cells = self.sub_cells(name)
-        return sum((-1) ** self.cx.dim_of(c) for c in cells)
+        return self.cx.euler_characteristic(self.sub_cells(name))
 
     def component_complexities(self, name: str):
         """Per-component Euler numbers of a subcomplex."""
-        comps = self.cx.components(self.sub_cells(name))
-        return [sum((-1) ** self.cx.dim_of(c) for c in comp) for comp in comps]
+        return [self.cx.euler_characteristic(comp)
+                for comp in self.cx.components(self.sub_cells(name))]
 
     def chi_minus(self, name: str) -> int:
         return sum(max(-chi, 0) for chi in self.component_complexities(name))
@@ -368,7 +367,6 @@ def double(sc: SuturedComplex) -> DoubleResult:
     group = cx.group
     comps = ([("R+", comp) for comp in cx.components(rplus_cells)]
              + [("R-", comp) for comp in cx.components(rminus_cells)])
-    shared = set(rminus_cells) | set(rplus_cells)
 
     for side, comp in comps:
         _check_zero_holonomy_tree(cx, comp, side)
@@ -376,21 +374,21 @@ def double(sc: SuturedComplex) -> DoubleResult:
     gens = [g + "!1" for g in group.gens] + [g + "!2" for g in group.gens]
     n = group.ngens
     stable_letters = []
-    comp_stable = {}
+    stable = {}     # glued cell of R+ or R- -> its component's stable letter
     minus_seen = 0
     plus_seen = 0
     for side, comp in comps:
         if side == "R+":
             plus_seen += 1
             if plus_seen == 1:
-                comp_stable[frozenset(comp)] = ()
+                stable.update(dict.fromkeys(comp, ()))
                 continue
             name = "s" if plus_seen == 2 else f"s{plus_seen - 1}"
         else:
             minus_seen += 1
             name = "t" if minus_seen == 1 else f"t{minus_seen}"
         stable_letters.append((name, side))
-        comp_stable[frozenset(comp)] = (2 * n + len(stable_letters),)
+        stable.update(dict.fromkeys(comp, (2 * n + len(stable_letters),)))
         gens.append(name)
 
     def theta(word, copy):
@@ -399,29 +397,24 @@ def double(sc: SuturedComplex) -> DoubleResult:
 
     relators = [theta(r, 1) for r in group.relators]
     relators += [theta(r, 2) for r in group.relators]
-    for side, comp in comps:
-        g = comp_stable[frozenset(comp)]
+    for _, comp in comps:
+        g = stable[comp[0]]
         for w in cx.pi1_generator_words(comp):
             rel = word_mul(theta(w, 1), g, word_inv(theta(w, 2)), word_inv(g))
             if rel:
                 relators.append(rel)
 
-    cell_component = {}
-    for side, comp in comps:
-        for c in comp:
-            cell_component[c] = frozenset(comp)
-
     cells = []
     boundaries = {}
     for name, dim in sc.doc.cells:
-        if name in shared:
+        if name in stable:
             cells.append((name, dim))
             if dim >= 1:
                 boundaries[name] = tuple(
                     (c, theta(w, 1), t) for c, w, t in cx.boundary[name])
     for copy, suffix in ((1, "!1"), (2, "!2")):
         for name, dim in sc.doc.cells:
-            if name in shared:
+            if name in stable:
                 continue
             new = name + suffix
             cells.append((new, dim))
@@ -429,12 +422,11 @@ def double(sc: SuturedComplex) -> DoubleResult:
                 continue
             terms = []
             for c, w, t in cx.boundary.get(name, ()):
-                if t in shared:
+                if t in stable:
                     if copy == 1:
                         terms.append((c, theta(w, 1), t))
                     else:
-                        g = comp_stable[cell_component[t]]
-                        terms.append((c, word_mul(g, theta(w, 2)), t))
+                        terms.append((c, word_mul(stable[t], theta(w, 2)), t))
                 else:
                     terms.append((c, theta(w, copy), t + suffix))
             boundaries[new] = tuple(terms)

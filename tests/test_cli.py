@@ -370,6 +370,49 @@ class TestStrictInput:
         assert code == EX_DATA and "not a supported prime" in err
 
 
+    @pytest.mark.parametrize("tag", ["f" + "9" * 5000, "f\u00b2"],
+                             ids=["5000-digits", "superscript-two"])
+    def test_field_tag_not_ascii_digits(self, capsys, tmp_path, tag):
+        """int() refuses both tags: the first is past Python's limit on
+        digits, the second is a digit to str.isdigit only."""
+        code, out, err = run(capsys, "homology", "bundled:product_T1",
+                             "--field", tag)
+        assert (code, out) == (EX_USAGE, "")
+        assert err.startswith("usage error: argument --field: ")
+        rep = tmp_path / "rep.txt"
+        rep.write_text(f"rep 1\nkind trivial\nfield {tag}\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "homology", "bundled:product_T1",
+                             "--rep", str(rep))
+        assert (code, out) == (EX_DATA, "")
+        assert err in ("error: a number of 5000 digits is not a supported"
+                       " prime\n", "error: unknown field tag 'f\u00b2'\n")
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("meta irreducible 1", "meta irreducible maybe",
+         "meta irreducible must be 0/1, false/true or no/yes, got 'maybe'"
+         " (line 25)"),
+        ("meta sutures 1", "meta sutures two",
+         "meta sutures must be an integer, got 'two' (line 24)")],
+        ids=["flag", "integer"])
+    def test_meta_value_errors_give_their_line(self, capsys, tmp_path, old,
+                                               new, message):
+        path = _product_T1(tmp_path, old, new)
+        for command in ("certify-taut", "nonproduct", "bounds"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out, err) == (EX_DATA, "", f"error: {message}\n")
+
+    def test_check_reports_before_a_bad_meta_value(self, capsys, tmp_path):
+        """check prints what it knows of the complex before reading the
+        sutured metadata."""
+        path = _product_T1(tmp_path, "meta sutures 1", "meta sutures two")
+        code, out, err = run(capsys, "check", path)
+        assert (code, out) == (EX_DATA, "cells: 9, chi = -1\n"
+                               "d^2 under abelianization: ok\n")
+        assert err == ("error: meta sutures must be an integer, got 'two'"
+                       " (line 24)\n")
+
+
 class TestInlineSpellings:
     """An inline --rep or --phi value and the file lines it spells give the
     same representation or class; malformed, the inline value is a usage

@@ -19,9 +19,19 @@
   terms) against the product of per-degree layers of reduced monomials;
 - `EquivariantComplex.tree_paths`, through `pi1_generator_words` and
   `sutured._check_zero_holonomy_tree`, against the two breadth-first
-  searches it replaced.
+  searches it replaced;
+- `EquivariantComplex.euler_characteristic` and `chain.alternating_sum`,
+  through `chi_of`, `component_complexities` and `euler_check`, against the
+  sums of (-1)^dim each of those wrote out;
+- `algebra.inverse` (one `solve` against the identity) against the right
+  half of rref([A | I]);
+- the relator tests shared by `check_hom`, `make_representation` and
+  `enumerate_quotients` against tracing points through each relator;
+- `groups._action_representation`, through `permutation_representation`
+  and `regular_representation`, against matrices written entry by entry.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,17 +39,19 @@ import pytest
 
 import scx.alex
 import scx.chain
-from scx.algebra import (GF, QQ, LaurentRing, Matrix, pid_homology_order,
-                         rank, rref)
+from scx.algebra import (GF, QQ, AlgebraError, LaurentRing, Matrix, inverse,
+                         pid_homology_order, rank, rref)
 from scx.alex import det_form_check, laurent_twist, thurston_bound
 from scx.chain import (MAX_DIM, ChainError, EquivariantComplex, betti,
-                       induced_map, specialize)
-from scx.groups import (CohomologyClass, Representation, SizeLimitError,
+                       euler_check, induced_map, specialize)
+from scx.groups import (CohomologyClass, GroupError, Representation,
+                        SizeLimitError, _action_representation, check_hom,
                         enumerate_quotients, eval_word, eval_word_perm,
-                        perm_group_order, perm_inv, perm_mul,
-                        permutation_matrix, permutation_representation,
-                        regular_representation, trivial_representation,
-                        word_exponent_vector, word_inv, word_mul)
+                        make_representation, perm_group_order, perm_inv,
+                        perm_mul, permutation_matrix,
+                        permutation_representation, regular_representation,
+                        trivial_representation, word_exponent_vector, word_inv,
+                        word_mul)
 from scx.models import fibered_cut
 from scx.scxio import ScxDocument
 from scx.sutured import (PreconditionError, _check_zero_holonomy_tree, double,
@@ -758,3 +770,157 @@ def test_spanning_tree_matches_oracles(docs, sutured):
             assert got == _outcome(oracle_zero_holonomy_tree, cx, comp, "R-")
             raised["tree"] += got[0] != "ok"
     assert (len(cases), raised) == (372, {"words": 38, "tree": 217})
+
+
+# ---------------------------------------------------------------------------
+# Euler counts: one alternating sum against the per-site sums it replaced
+
+
+def oracle_chi(cx, cells):
+    """Sum of (-1)^dim over the cells, as chi_of summed it."""
+    return sum((-1) ** cx.dim_of(c) for c in cells)
+
+
+def oracle_chi_outside(cx, exclude):
+    """The per-dimension count outside `exclude` that euler_check used."""
+    return sum((-1) ** d * sum(1 for c in cx.cells[d] if c not in exclude)
+               for d in range(MAX_DIM + 1))
+
+
+def test_euler_counts_match_sums(docs, sutured):
+    for name in BUNDLED:
+        cx = docs[name].complex()
+        assert cx.euler_characteristic() == oracle_chi_outside(cx, set())
+        for cells in docs[name].subs.values():
+            assert cx.euler_characteristic(cells) == oracle_chi(cx, cells)
+            for comp in cx.components(cells):
+                assert cx.euler_characteristic(comp) == oracle_chi(cx, comp)
+            rel = cx.subcomplex("sub", cells)
+            trivial = trivial_representation(cx.group, 2, QQ)
+            report = euler_check(cx, rel, trivial)
+            bv = betti(specialize(cx, trivial, rel))
+            assert report.details == {
+                "twisted_chi": sum((-1) ** i * bv[i] for i in range(4)),
+                "k_chi": 2 * oracle_chi_outside(cx, rel.cells)}
+    for name in SUTURED_BUNDLED:
+        sc = sutured[name]
+        for side in ("R-", "R+"):
+            cells = sc.sub_cells(side)
+            assert sc.chi_of(side) == oracle_chi(sc.cx, cells)
+            assert sc.component_complexities(side) == [
+                oracle_chi(sc.cx, comp) for comp in sc.cx.components(cells)]
+
+
+# ---------------------------------------------------------------------------
+# inverse: one solve against the rref of [A | I]
+
+
+def oracle_inverse(mat):
+    """The right half of rref([A | I]), refused unless A's pivots lead."""
+    n = mat.n
+    R, pivots = rref(mat.hstack(Matrix.identity(mat.dom, n)))
+    if pivots[:n] != list(range(n)):
+        raise AlgebraError("singular matrix")
+    return R.columns(list(range(n, 2 * n)))
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(5)], ids=["Q", "F5"])
+def test_inverse_matches_rref_oracle(dom):
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        rows = random_low_rank(rng, n, n, rng.choice([n, n, rng.randint(0, n)]),
+                               lambda: Fraction(rng.randint(-2, 2)))
+        mat = Matrix.from_rows(dom, rows)
+        try:
+            want = oracle_inverse(mat)
+        except AlgebraError as e:
+            singular += 1
+            with pytest.raises(AlgebraError, match=str(e)):
+                inverse(mat)
+            continue
+        assert inverse(mat) == want, rows
+        assert mat * want == Matrix.identity(dom, n)
+    assert 30 < singular < 170
+
+
+# ---------------------------------------------------------------------------
+# relator tests: the shared helpers against brute force
+
+
+def brute_force_relators_hold(relators, images, n):
+    """Trace each point through the letters of every relator."""
+    for r in relators:
+        for x in range(n):
+            y = x
+            for k in reversed(r):
+                p = images[abs(k) - 1]
+                y = p[y] if k > 0 else p.index(y)
+            if y != x:
+                return False
+    return True
+
+
+def test_relator_tests_match_brute_force():
+    """check_hom on permutations and on their matrices, make_representation
+    and the images enumerate_quotients lists, on every tuple of images in
+    S_2 and S_3 of random presentations."""
+    rng = random.Random(41)
+    held = tested = 0
+    for _ in range(12):
+        pres = random_presentation_doc(rng).presentation()
+        listed = [q.images for q in enumerate_quotients(pres, 3)]
+        want = []
+        for n in (2, 3):
+            perms = list(itertools.permutations(range(n)))
+            for images in itertools.product(perms, repeat=pres.ngens):
+                ok = brute_force_relators_hold(pres.relators, images, n)
+                want += [images] if ok else []
+                assert check_hom(pres, images) == ok, (pres, images)
+                mats = [permutation_matrix(QQ, p) for p in images]
+                assert check_hom(pres, mats) == ok, (pres, images)
+                try:
+                    make_representation(pres, mats)
+                    assert ok, (pres, images)
+                except GroupError as e:
+                    assert not ok and "do not satisfy" in str(e), images
+                held += ok
+                tested += 1
+        assert listed == want, pres
+    assert (tested, held) == (1488, 792)
+
+
+# ---------------------------------------------------------------------------
+# permutation actions: one builder against explicit matrices
+
+
+def explicit_permutation_matrix(dom, perm):
+    """Entry (i, j) is one exactly when perm sends j to i."""
+    n = len(perm)
+    return Matrix.from_rows(dom, [[int(perm[j] == i) for j in range(n)]
+                                  for i in range(n)])
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(5)], ids=["Q", "F5"])
+def test_action_representation_matches_explicit_matrices(docs, dom):
+    rng = random.Random(51)
+    pres = docs["product_T1"].presentation()
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        perms = [tuple(rng.sample(range(n), n)) for _ in pres.gens]
+        rep = _action_representation(pres, n, perms, dom, "test")
+        assert (rep.dim, rep.dom, rep.provenance, rep.unitary) == \
+            (n, dom, "test", True)
+        for p, m, m_inv in zip(perms, rep.mats, rep.inv_mats):
+            assert m == explicit_permutation_matrix(dom, p)
+            assert m_inv == explicit_permutation_matrix(dom, p).transpose()
+    for q in enumerate_quotients(docs["trefoil"].presentation(), 4):
+        perm_rep = permutation_representation(q, dom)
+        assert [m for m in perm_rep.mats] == [
+            explicit_permutation_matrix(dom, p) for p in q.images]
+        reg = regular_representation(q, dom)
+        index = {g: i for i, g in enumerate(q.elements)}
+        for p, m in zip(q.images, reg.mats):
+            assert m == explicit_permutation_matrix(
+                dom, tuple(index[perm_mul(p, g)] for g in q.elements))

@@ -208,6 +208,13 @@ class TestRoundTrip:
         assert again == doc
         assert serialize_scx(again) == text
 
+    def test_meta_lines_locate_without_taking_part_in_equality(self):
+        doc = BUILDERS["product_T1"]()
+        again = parse_scx(serialize_scx(doc))
+        assert again == doc and doc.meta_lines == {}
+        assert (again.meta_lines["name"], again.meta_lines["sutures"]) \
+            == (21, 23)
+
     def test_random_documents(self):
         rng = random.Random(21)
         for _ in range(25):
