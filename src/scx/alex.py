@@ -23,10 +23,9 @@ class AlexError(Exception):
 
 
 class AlexOrder(Frozen):
-    def __init__(self, i: int, poly: LaurentPoly, ring: LaurentRing):
+    def __init__(self, i: int, poly: LaurentPoly):
         _setattr(self, "i", i)
         _setattr(self, "poly", poly)
-        _setattr(self, "ring", ring)
 
     @property
     def deg(self):
@@ -34,7 +33,7 @@ class AlexOrder(Frozen):
         return self.poly.degree_span()
 
     def poly_str(self) -> str:
-        return poly_to_str(self.ring, self.poly)
+        return poly_to_str(self.poly)
 
 
 def laurent_twist(rep: Representation, phi: CohomologyClass) -> Representation:
@@ -79,7 +78,7 @@ def twisted_orders(cx, phi: CohomologyClass, rep: Representation,
                 diagonals[d] = diagonalize_laurent(mat)
         order = _order_from_diagonals(twist.dom, d_in.m, diagonals[i + 1],
                                       diagonals[i])
-        orders.append(AlexOrder(i, order, twist.dom))
+        orders.append(AlexOrder(i, order))
     return tuple(orders)
 
 
@@ -119,7 +118,7 @@ def thurston_bound(cx, phi: CohomologyClass, rep: Representation) -> ThurstonRep
     """
     orders = twisted_orders(cx, phi, rep, range(3))
     for o in orders:
-        if o.poly.is_zero():
+        if not o.poly:
             return ThurstonReport(orders, None, f"Delta_{o.i} = 0", rep.dim)
     raw = Fraction(orders[1].deg - orders[0].deg - orders[2].deg, rep.dim)
     return ThurstonReport(orders, max(raw, Fraction(0)), "", rep.dim)
@@ -128,21 +127,19 @@ def thurston_bound(cx, phi: CohomologyClass, rep: Representation) -> ThurstonRep
 class DetFormReport(Frozen):
     def __init__(self, applicable: bool, match: bool | None,
                  reversed_match: bool | None, det_side: LaurentPoly | None,
-                 order_side: LaurentPoly | None, ring: LaurentRing,
-                 detail: str):
+                 order_side: LaurentPoly | None, detail: str):
         _setattr(self, "applicable", applicable)
         _setattr(self, "match", match)
         _setattr(self, "reversed_match", reversed_match)
         _setattr(self, "det_side", det_side)
         _setattr(self, "order_side", order_side)
-        _setattr(self, "ring", ring)
         _setattr(self, "detail", detail)
 
     def __str__(self):
         if not self.applicable:
             return f"formula inapplicable: {self.detail}"
-        det_s = poly_to_str(self.ring, self.det_side)
-        ord_s = poly_to_str(self.ring, self.order_side)
+        det_s = poly_to_str(self.det_side)
+        ord_s = poly_to_str(self.order_side)
         verdict = "match" if (self.match or self.reversed_match) else "MISMATCH"
         return (f"det(left - t*right) = {det_s}\n"
                 f"twisted order        = {ord_s}\n{verdict}")
@@ -167,28 +164,25 @@ def det_form_check(w_cx, phi: CohomologyClass, rep_w: Representation,
     """
     if eval_word(rep_w, cut["stable"]) != Matrix.identity(rep_w.dom, rep_w.dim):
         return DetFormReport(False, None, None, None, None,
-                             LaurentRing(rep_w.dom),
                              "rho moves the stable letter")
     xminus = cut["xminus"]
     rep_x = pullback_representation(xminus.group, cut["x_in_w"], rep_w)
     m_l, m_r = induced_maps(xminus, (cut["iota_l"], cut["iota_r"]), rep_x, i)
     if m_l.m != m_l.n:
         return DetFormReport(False, None, None, None, None,
-                             LaurentRing(rep_w.dom),
                              f"b_{i}(R-) = {m_l.n} differs from"
                              f" b_{i}(X-) = {m_l.m}")
-    ring = LaurentRing(rep_x.dom)
     det = _pencil_det(m_l, m_r.map_entries(m_r.dom, m_r.dom.neg))
     order = twisted_alexander(w_cx, phi, rep_w, i)
-    rev = _substitute_inverse(ring, order.poly)
-    match = ring.eq(det, order.poly)
-    rev_match = ring.eq(det, rev)
-    return DetFormReport(True, match, rev_match, det, order.poly, ring,
+    rev = _substitute_inverse(LaurentRing(rep_x.dom), order.poly)
+    match = det == order.poly
+    rev_match = det == rev
+    return DetFormReport(True, match, rev_match, det, order.poly,
                          "" if match or rev_match else "polynomials differ")
 
 
 def _substitute_inverse(ring: LaurentRing, p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
+    if not p:
         return p
     flipped = ring.poly(-p.high, tuple(reversed(p.coeffs)))
     return ring.unit_canonical(flipped)

@@ -2,10 +2,15 @@
 
 Every value is immutable after construction and every operation is a pure
 function, so all of this is safe to share across threads.  There is no
-floating point anywhere: rationals are `fractions.Fraction`, F_p elements are
-canonical ints in [0, p), and Laurent polynomials are coefficient tuples with
-an explicit lowest exponent.  Matrix entries are opaque to `Matrix` itself and
-are interpreted through the matrix's domain object.
+floating point anywhere.  Every entry is canonical:
+
+- a Q entry is a `fractions.Fraction`;
+- an F_p entry is an `int` in [0, p);
+- an F[t^±1] entry is a trimmed `LaurentPoly` (see its docstring).
+
+So zero is falsy and equality is `==` in every domain, and a domain object
+keeps only coercion (`of`, the one way in) and arithmetic.  `Matrix(dom,
+rows)` takes canonical entries; `Matrix.from_rows` coerces them.
 
 `rank` over Q first eliminates modulo the prime 2^31 - 1 and trusts that
 result only when it is full (min of the two dimensions), which a nonzero
@@ -83,21 +88,12 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise AlgebraError("division by zero in Q")
         return 1 / a
 
     def div(self, a, b):
         return a / b
-
-    def is_zero(self, a):
-        return not a
-
-    def eq(self, a, b):
-        return a == b
-
-    def to_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "QQ"
@@ -158,21 +154,12 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
+        if not a:
             raise AlgebraError(f"division by zero in {self.name}")
         return pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -204,7 +191,7 @@ class LaurentPoly(Frozen):
 
     The coefficient tuple has nonzero first and last entry, and the zero
     polynomial is the empty tuple with low = 0, so == and hash compare
-    values.
+    values and only the zero polynomial is falsy.
     """
 
     def __init__(self, low: int, coeffs: tuple):
@@ -219,8 +206,8 @@ class LaurentPoly(Frozen):
     def __hash__(self):
         return hash((self.low, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     @property
     def high(self) -> int:
@@ -228,7 +215,7 @@ class LaurentPoly(Frozen):
 
     def degree_span(self):
         """deg p = highest minus lowest exponent; None for the zero polynomial."""
-        return None if self.is_zero() else len(self.coeffs) - 1
+        return len(self.coeffs) - 1 if self else None
 
 
 class LaurentRing:
@@ -239,17 +226,19 @@ class LaurentRing:
     def __init__(self, base):
         self.base = base
         self.name = f"{base.name}[t^±1]"
+        self.zero = LaurentPoly(0, ())
+        self.one = LaurentPoly(0, (base.one,))
 
     def poly(self, low: int, coeffs) -> LaurentPoly:
         cs = [self.base.of(c) for c in coeffs]
         lo = low
-        while cs and self.base.is_zero(cs[0]):
+        while cs and not cs[0]:
             cs.pop(0)
             lo += 1
-        while cs and self.base.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         if not cs:
-            return LaurentPoly(0, ())
+            return self.zero
         return LaurentPoly(lo, tuple(cs))
 
     def of(self, x):
@@ -260,18 +249,10 @@ class LaurentRing:
     def monomial(self, c, n: int) -> LaurentPoly:
         return self.poly(n, [c])
 
-    @property
-    def zero(self):
-        return LaurentPoly(0, ())
-
-    @property
-    def one(self):
-        return self.poly(0, [self.base.one])
-
     def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        if a.is_zero():
+        if not a:
             return b
-        if b.is_zero():
+        if not b:
             return a
         lo = min(a.low, b.low)
         hi = max(a.high, b.high)
@@ -289,7 +270,7 @@ class LaurentRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        if a.is_zero() or b.is_zero():
+        if not a or not b:
             return self.zero
         cs = [self.base.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, ca in enumerate(a.coeffs):
@@ -297,23 +278,17 @@ class LaurentRing:
                 cs[i + j] = self.base.add(cs[i + j], self.base.mul(ca, cb))
         return self.poly(a.low + b.low, cs)
 
-    def is_zero(self, a: LaurentPoly) -> bool:
-        return a.is_zero()
-
-    def eq(self, a: LaurentPoly, b: LaurentPoly) -> bool:
-        return a == b
-
     def divmod_shifted(self, a: LaurentPoly, b: LaurentPoly):
         """(q, r) with a = q*b + r and span(r) < span(b).
 
         q may have negative exponents; exact for the Euclidean steps used by
         the diagonalization below.
         """
-        if b.is_zero():
+        if not b:
             raise AlgebraError("division by zero polynomial")
         q = self.zero
         r = a
-        while not r.is_zero() and len(r.coeffs) >= len(b.coeffs):
+        while r and len(r.coeffs) >= len(b.coeffs):
             c = self.base.div(r.coeffs[-1], b.coeffs[-1])
             mono = self.monomial(c, r.high - b.high)
             q = self.add(q, mono)
@@ -322,37 +297,33 @@ class LaurentRing:
 
     def unit_canonical(self, a: LaurentPoly) -> LaurentPoly:
         """Normalize up to units c*t^n: lowest exponent 0 and monic top."""
-        if a.is_zero():
+        if not a:
             return a
         lead = a.coeffs[-1]
         inv = self.base.inv(lead)
         return self.poly(0, [self.base.mul(c, inv) for c in a.coeffs])
 
-    def to_str(self, a: LaurentPoly) -> str:
-        return poly_to_str(self, a)
-
     def __repr__(self):
         return f"LaurentRing({self.base!r})"
 
 
-def poly_to_str(ring: LaurentRing, p: LaurentPoly) -> str:
+def poly_to_str(p: LaurentPoly) -> str:
     """Ascending-exponent sparse form, e.g. '1 - t + t^2'.
 
     >>> R = LaurentRing(QQ)
-    >>> poly_to_str(R, R.poly(0, [1, -1, 1]))
+    >>> poly_to_str(R.poly(0, [1, -1, 1]))
     '1 - t + t^2'
-    >>> poly_to_str(R, R.poly(-1, [Fraction(1, 2), 0, 3]))
+    >>> poly_to_str(R.poly(-1, [Fraction(1, 2), 0, 3]))
     '1/2*t^-1 + 3*t'
     """
-    if p.is_zero():
+    if not p:
         return "0"
-    base = ring.base
     out = []
     for i, c in enumerate(p.coeffs):
-        if base.is_zero(c):
+        if not c:
             continue
         e = p.low + i
-        cs = base.to_str(c)
+        cs = str(c)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
         if e == 0:
@@ -407,31 +378,24 @@ class Matrix:
         if self.n != other.m:
             raise AlgebraError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
         d = self.dom
-        nonzero = [[(j, x) for j, x in enumerate(r) if not d.is_zero(x)]
-                   for r in other.rows]
+        nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in other.rows]
         out = []
         for ri in self.rows:
             oi = [d.zero] * other.n
             for a, rk in zip(ri, nonzero):
-                if rk and not d.is_zero(a):
+                if rk and a:
                     for j, x in rk:
                         oi[j] = d.add(oi[j], d.mul(a, x))
             out.append(oi)
         return Matrix(d, out, self.m, other.n)
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix) or self.m != other.m or self.n != other.n:
-            return False
-        d = self.dom
-        return all(d.eq(self.rows[i][j], other.rows[i][j])
-                   for i in range(self.m) for j in range(self.n))
-
-    def __hash__(self):
-        raise TypeError("matrices are not hashable")
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.m, self.n, self.rows) == (other.m, other.n, other.rows)
 
     def is_zero_matrix(self):
-        d = self.dom
-        return all(d.is_zero(x) for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def hstack(self, other):
         if self.m != other.m:
@@ -472,7 +436,7 @@ def rref(mat: Matrix):
     for c in range(n):
         pr = None
         for i in range(r, m):
-            if not d.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -481,7 +445,7 @@ def rref(mat: Matrix):
         inv = d.inv(rows[r][c])
         rows[r] = [d.mul(inv, x) for x in rows[r]]
         for i in range(m):
-            if i != r and not d.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [d.sub(rows[i][j], d.mul(f, rows[r][j])) for j in range(n)]
         pivots.append(c)
@@ -753,8 +717,8 @@ def _order_from_diagonals(ring: LaurentRing, size: int, diag_in: list,
     when that rank is positive, otherwise the order canonicalized to lowest
     exponent 0 and monic leading coefficient.
     """
-    divisors = [p for p in diag_in if not p.is_zero()]
-    rank_out = sum(1 for p in diag_out if not p.is_zero())
+    divisors = [p for p in diag_in if p]
+    rank_out = sum(1 for p in diag_out if p)
     if len(divisors) + rank_out < size:
         return ring.zero
     prod = ring.one

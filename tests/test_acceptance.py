@@ -269,7 +269,7 @@ def test_c11_det_form_cross_check(capsys):
     assert report.applicable          # b1(R-) = b1(X-) verified inside
     assert report.match or report.reversed_match
     from scx.algebra import poly_to_str
-    assert poly_to_str(report.ring, report.det_side) == "1 - t + t^2"
+    assert poly_to_str(report.det_side) == "1 - t + t^2"
     with capsys.disabled():
         _passed(11, "det(left - t*right) on the fiber agrees with the first"
                     " twisted order of the mapping torus (1 - t + t^2)")

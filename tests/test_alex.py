@@ -106,7 +106,7 @@ class TestTwistedAlexander:
         cx = doc.complex()
         phi = CohomologyClass({"x": 0, "y": 0})
         rep = trivial_representation(cx.group, 1, QQ)
-        assert twisted_alexander(cx, phi, rep, 1).poly.is_zero()
+        assert not twisted_alexander(cx, phi, rep, 1).poly
 
     def test_rejects_non_cocycle(self):
         doc = load_document("bundled:trefoil")
@@ -128,7 +128,7 @@ class TestTwistedAlexander:
         cx2 = doc2.complex()
         again = twisted_alexander(
             cx2, phi, trivial_representation(cx2.group, 1, QQ), 1)
-        assert R.eq(base.poly, again.poly)
+        assert base.poly == again.poly
         # conjugated permutation representation of a degree-2 quotient
         q = [q for q in enumerate_quotients(cx.group, 2)][-1]
         rep = permutation_representation(q)
@@ -138,8 +138,7 @@ class TestTwistedAlexander:
             cx.group, [p * m * inverse(p) for m in rep.mats])
         a = twisted_alexander(cx, phi, rep, 1)
         b = twisted_alexander(cx, phi, conj, 1)
-        ring = LaurentRing(QQ)
-        assert ring.eq(a.poly, b.poly)
+        assert a.poly == b.poly
 
 
 class TestThurstonBound:
@@ -170,7 +169,7 @@ class TestThurstonBound:
         report = thurston_bound(cx, CohomologyClass({"x": 0, "y": 0}),
                                 trivial_representation(cx.group, 1, QQ))
         assert report.bound is None and "Delta_" in report.reason
-        assert report.orders[1].poly.is_zero()
+        assert not report.orders[1].poly
 
     def test_taut_examples_nonnegative(self):
         for name in ("trefoil", "figure8", "trefoil_fibered"):
@@ -191,7 +190,7 @@ class TestDetForm:
         report = det_form_check(w_cx, phi, rep, cut, 1)
         assert report.applicable
         assert report.match or report.reversed_match
-        assert poly_to_str(report.ring, report.det_side) == "1 - t + t^2"
+        assert poly_to_str(report.det_side) == "1 - t + t^2"
 
     def test_degree_zero_and_two(self):
         cut = fibered_cut()
@@ -202,7 +201,7 @@ class TestDetForm:
         assert r0.applicable and (r0.match or r0.reversed_match)
         r2 = det_form_check(w_cx, phi, rep, cut, 2)
         assert r2.applicable and (r2.match or r2.reversed_match)
-        assert poly_to_str(r2.ring, r2.det_side) == "1"
+        assert poly_to_str(r2.det_side) == "1"
 
     def test_stable_letter_moved_inapplicable(self):
         # the twisted order is det(1 - t * M (x) rho(t)) = 1 + t^2 + t^4 for

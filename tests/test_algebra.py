@@ -132,7 +132,7 @@ class TestLaurent:
         ring = LaurentRing(f5)
         assert ring.poly(0, [7]) == ring.poly(0, [2])
         assert ring.poly(0, [-3, 5, 1]) == ring.poly(0, [2, 0, 1])
-        assert ring.poly(0, [5]).is_zero()
+        assert not ring.poly(0, [5])
 
     def test_field_tags(self):
         assert field_by_tag("q") is QQ
@@ -198,12 +198,12 @@ def _det(m):
 class TestDetPoly:
     def test_one_by_one(self):
         d = _det(lmat([[(0, (-1, 1))]]))
-        assert poly_to_str(R, d) == "-1 + t"
+        assert poly_to_str(d) == "-1 + t"
 
     def test_identity_minus_t(self):
         m = lmat([[(0, (1, -1)), 0], [0, (0, (1, -1))]])
         d = _det(m)
-        assert poly_to_str(R, d) == "1 - 2*t + t^2"
+        assert poly_to_str(d) == "1 - 2*t + t^2"
         assert d.degree_span() == 2
 
     def test_singular_a(self):
@@ -211,11 +211,11 @@ class TestDetPoly:
         # degree 1 < 2
         m = lmat([[(0, (1, 1)), 0], [0, (1, (1,))]])
         d = _det(m)
-        assert poly_to_str(R, d) == "1 + t"
+        assert poly_to_str(d) == "1 + t"
         assert d.degree_span() == 1
 
     def test_empty(self):
-        assert R.eq(_det(Matrix.zeros(R, 0, 0)), R.one)
+        assert _det(Matrix.zeros(R, 0, 0)) == R.one
 
     def test_vs_expansion(self):
         rng = random.Random(7)
@@ -224,7 +224,7 @@ class TestDetPoly:
             m = lmat([[(rng.randint(-1, 1),
                         tuple(rng.randint(-2, 2) for _ in range(2)))
                        for _ in range(n)] for _ in range(n)])
-            assert R.eq(_det(m), R.unit_canonical(_laplace(m)))
+            assert _det(m) == R.unit_canonical(_laplace(m))
 
 
 def _laplace(m):
@@ -253,7 +253,7 @@ class TestDiagonalizeLaurent:
             a = lmat([[(rng.randint(-1, 1),
                         tuple(rng.randint(-2, 2) for _ in range(2)))
                        for _ in range(n_)] for _ in range(m_)])
-            nonzero = [p for p in diagonalize_laurent(a) if not p.is_zero()]
+            nonzero = [p for p in diagonalize_laurent(a) if p]
             oracle = [d for d in fox_oracle.smith_diagonal(
                 [[_as_dict(p) for p in row] for row in a.rows]) if d]
             assert len(nonzero) == len(oracle)
@@ -267,8 +267,8 @@ class TestDiagonalizeLaurent:
                 fox_oracle.pcanon(oracle_prod)
             if m_ == n_:
                 det = R.unit_canonical(_laplace(a))
-                assert R.eq(det, R.unit_canonical(prod)
-                            if len(nonzero) == n_ else R.zero)
+                assert det == (R.unit_canonical(prod)
+                               if len(nonzero) == n_ else R.zero)
 
     def test_rejects_non_laurent(self):
         with pytest.raises(AlgebraError):
@@ -280,17 +280,17 @@ class TestPidHomologyOrder:
         d_in = lmat([[(0, (-1, 1))]])
         d_out = Matrix.zeros(R, 0, 1)
         order = pid_homology_order(d_in, d_out)
-        assert poly_to_str(R, order) == "-1 + t"
+        assert poly_to_str(order) == "-1 + t"
 
     def test_exact_complex_unit(self):
         d_in = Matrix.identity(R, 2)
         d_out = Matrix.zeros(R, 0, 2)
-        assert poly_to_str(R, pid_homology_order(d_in, d_out)) == "1"
+        assert poly_to_str(pid_homology_order(d_in, d_out)) == "1"
 
     def test_free_rank_gives_zero(self):
         d_in = lmat([[0]])
         d_out = lmat([[0]])
-        assert pid_homology_order(d_in, d_out).is_zero()
+        assert not pid_homology_order(d_in, d_out)
 
     def test_rejects_noncomposing(self):
         d_in = Matrix.identity(R, 1)
@@ -303,4 +303,4 @@ class TestPidHomologyOrder:
         d_out = lmat([[1, -1]])
         d_in = lmat([[(0, (-1, 1))], [(0, (-1, 1))]])
         order = pid_homology_order(d_in, d_out)
-        assert poly_to_str(R, order) == "-1 + t"
+        assert poly_to_str(order) == "-1 + t"

@@ -96,13 +96,6 @@ class TestBetti:
         hom = untwisted_homology(slope2.cx, slope2.rminus())
         assert hom[1] == (0, (2,))
 
-    def test_euler_identity_violation_raises(self):
-        from scx.algebra import Matrix
-        from scx.chain import TwistedComplex
-        tc = TwistedComplex(QQ, 1, {0: ("v",)}, {0: Matrix.identity(QQ, 1)})
-        with pytest.raises(ChainError):
-            betti(tc)
-
     def test_cell_order_invariance(self, t1):
         rng = random.Random(2)
         doc = load_document("bundled:product_T1")

@@ -15,6 +15,8 @@ from scx.groups import FiniteQuotient
 from scx.models import BUILDERS
 from scx.scxio import ScxDocument
 
+from test_transcript import unbalanced_text
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -261,6 +263,21 @@ class TestOtherCommands:
         assert code == EX_USAGE and out == ""
         assert err.startswith(f"usage error: cannot write {target}:")
         assert "Traceback" not in err
+
+    def test_double_refuses_unbalanced_euler_numbers(self, capsys, tmp_path):
+        """R+ = vp passes validate, but 2 chi(M) = -2 != chi(R-) + chi(R+)
+        = -1 + 1: refused before anything is built or written."""
+        path, target = tmp_path / "unbalanced.scx", tmp_path / "dm.scx"
+        path.write_text(unbalanced_text())
+        assert run(capsys, "check", str(path))[0] == EX_OK
+        proc = subprocess.run(
+            [sys.executable, "-m", "scx", "double", str(path), "-o",
+             str(target)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (EX_FAIL, "")
+        assert proc.stderr == ("refused: double needs 2 chi(M) = chi(R-) +"
+                               " chi(R+), but chi(M) = -1, chi(R-) = -1,"
+                               " chi(R+) = 1\n")
+        assert not target.exists()
 
     def test_alex_trefoil(self, capsys):
         code, out, _ = run(capsys, "alex", "bundled:trefoil", "--phi", "ab",

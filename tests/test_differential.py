@@ -28,7 +28,10 @@
 - the relator tests shared by `check_hom`, `make_representation` and
   `enumerate_quotients` against tracing points through each relator;
 - `groups._action_representation`, through `permutation_representation`
-  and `regular_representation`, against matrices written entry by entry.
+  and `regular_representation`, against matrices written entry by entry;
+- truthiness and `==` on the entries every `Matrix` and Laurent operation
+  returns, and `Matrix.__eq__` on whole matrices, against the zero tests and
+  equalities each coefficient domain defined entry by entry.
 """
 
 import itertools
@@ -39,8 +42,9 @@ import pytest
 
 import scx.alex
 import scx.chain
-from scx.algebra import (GF, QQ, AlgebraError, LaurentRing, Matrix, inverse,
-                         pid_homology_order, rank, rref)
+from scx.algebra import (GF, QQ, AlgebraError, LaurentPoly, LaurentRing,
+                         Matrix, diagonalize_laurent, inverse, kernel_basis,
+                         pid_homology_order, rank, rref, solve)
 from scx.alex import det_form_check, laurent_twist, thurston_bound
 from scx.chain import (MAX_DIM, ChainError, EquivariantComplex, betti,
                        euler_check, induced_map, specialize)
@@ -924,3 +928,128 @@ def test_action_representation_matches_explicit_matrices(docs, dom):
         for p, m in zip(q.images, reg.mats):
             assert m == explicit_permutation_matrix(
                 dom, tuple(index[perm_mul(p, g)] for g in q.elements))
+
+
+# ---------------------------------------------------------------------------
+# canonical entries: `==` and truthiness against the entrywise tests the
+# domains used to define
+
+
+def oracle_is_zero(dom, x):
+    """The zero test each domain defined before entries were canonical."""
+    if isinstance(dom, LaurentRing):
+        return not x.coeffs
+    return not x if dom is QQ else x % dom.p == 0
+
+
+def oracle_eq(dom, a, b):
+    """The equality each domain defined, coefficient by coefficient."""
+    if isinstance(dom, LaurentRing):
+        return (a.low == b.low and len(a.coeffs) == len(b.coeffs)
+                and all(map(oracle_eq, itertools.repeat(dom.base), a.coeffs,
+                            b.coeffs)))
+    return a == b if dom is QQ else (a - b) % dom.p == 0
+
+
+def oracle_matrix_eq(a, b):
+    """The deleted `Matrix.__eq__`: equal shapes, entrywise `oracle_eq`."""
+    return (a.m, a.n) == (b.m, b.n) and all(
+        oracle_eq(a.dom, x, y) for ra, rb in zip(a.rows, b.rows)
+        for x, y in zip(ra, rb))
+
+
+def is_canonical(dom, x):
+    """`dom.of(x) == x` with the canonical type; a Laurent entry is also
+    trimmed, with canonical coefficients."""
+    if isinstance(dom, LaurentRing):
+        return (type(x) is LaurentPoly and type(x.coeffs) is tuple
+                and (bool(x.coeffs[0]) and bool(x.coeffs[-1]) if x.coeffs
+                     else x.low == 0)
+                and all(is_canonical(dom.base, c) for c in x.coeffs))
+    kind = Fraction if dom is QQ else int
+    return type(x) is kind and dom.of(x) == x
+
+
+def _canonical_entry(rng, dom):
+    if rng.random() < 0.4:
+        return dom.zero
+    if isinstance(dom, LaurentRing):
+        return _laurent(rng, dom)
+    return dom.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
+def _canonical_matrix(rng, dom, m, n):
+    return Matrix(dom, [[_canonical_entry(rng, dom) for _ in range(n)]
+                        for _ in range(m)], m, n)
+
+
+def _field_results(rng, dom):
+    """Matrices from every field operation on random canonical inputs."""
+    m, k, n = (rng.randint(0, 4) for _ in range(3))
+    a = _canonical_matrix(rng, dom, m, k)
+    out = [a * _canonical_matrix(rng, dom, k, n), rref(a)[0],
+           kernel_basis(a), a.transpose(),
+           a.hstack(_canonical_matrix(rng, dom, m, n)),
+           a.map_entries(dom, dom.neg)]
+    x = solve(a, _canonical_matrix(rng, dom, m, n))
+    if x is not None:
+        out.append(x)
+    try:
+        out.append(inverse(_canonical_matrix(rng, dom, k, k)))
+    except AlgebraError:
+        pass
+    return out
+
+
+def _laurent_results(rng, ring):
+    """Polynomials from every Laurent operation, as 1 x 1 matrices, and the
+    matrices of a product, a transpose, an hstack and a negation."""
+    a, b = _canonical_entry(rng, ring), _canonical_entry(rng, ring)
+    c = _canonical_entry(rng, ring.base)
+    polys = [ring.add(a, b), ring.sub(a, b), ring.mul(a, b), ring.neg(a),
+             ring.unit_canonical(a), ring.monomial(c, rng.randint(-2, 2)),
+             ring.of(c), ring.poly(rng.randint(-2, 2), [0, c, 1, c, 0])]
+    if b:
+        polys += ring.divmod_shifted(a, b)
+    m, k, n = (rng.randint(0, 3) for _ in range(3))
+    mat = _canonical_matrix(rng, ring, m, k)
+    polys += diagonalize_laurent(mat)
+    polys.append(pid_homology_order(mat, Matrix.zeros(ring, 0, m)))
+    return [Matrix(ring, [[p]]) for p in polys] + [
+        mat * _canonical_matrix(rng, ring, k, n), mat.transpose(),
+        mat.hstack(_canonical_matrix(rng, ring, m, n)),
+        mat.map_entries(ring, ring.neg)]
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(5), GF(P), LaurentRing(QQ)],
+                         ids=["Q", "F5", "Fbig", "Q[t]"])
+def test_results_are_canonical(dom):
+    """Every entry an operation returns is canonical, so truthiness and
+    `==` agree with the domain's old zero test and equality, on entries
+    and on whole matrices (against a copy, a copy changed in one entry and
+    a random matrix of the same shape)."""
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(150):
+        results = (_laurent_results(rng, dom) if isinstance(dom, LaurentRing)
+                   else _field_results(rng, dom))
+        for mat in results:
+            entries = [x for r in mat.rows for x in r]
+            assert all(is_canonical(dom, x) for x in entries), mat.rows
+            assert all(bool(x) is not oracle_is_zero(dom, x) for x in entries)
+            assert mat.is_zero_matrix() == all(oracle_is_zero(dom, x)
+                                               for x in entries)
+            others = [Matrix(dom, [r[:] for r in mat.rows], mat.m, mat.n),
+                      _canonical_matrix(rng, dom, mat.m, mat.n)]
+            if entries:
+                i, j = rng.randrange(mat.m), rng.randrange(mat.n)
+                rows = [r[:] for r in mat.rows]
+                rows[i][j] = dom.add(rows[i][j], dom.one)
+                others.append(Matrix(dom, rows, mat.m, mat.n))
+            for other in others:
+                outcomes.add(mat == other)
+                assert (mat == other) == oracle_matrix_eq(mat, other)
+                assert (mat != other) != oracle_matrix_eq(mat, other)
+            for x, y in zip(entries, entries[1:]):
+                assert (x == y) == oracle_eq(dom, x, y)
+    assert outcomes == {True, False}

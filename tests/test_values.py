@@ -19,9 +19,9 @@ PRES = GroupPresentation(("a", "b"), ())
 # class name -> constructor arguments; the values are placeholders, since
 # only GroupPresentation and Verdict check theirs
 FROZEN = {
-    "AlexOrder": (0, R.zero, R),
+    "AlexOrder": (0, R.zero),
     "ThurstonReport": ((), None, "", 1),
-    "DetFormReport": (False, None, None, None, None, R, ""),
+    "DetFormReport": (False, None, None, None, None, ""),
     "DetabReport": (1, None, True, True),
     "LaurentPoly": (0, ()),
     "SubcomplexRef": ("R-", frozenset()),
