@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (Frozen, LaurentPoly, LaurentRing, Matrix,
-                      _order_from_diagonals, _setattr, diagonalize_laurent,
+                      _order_from_diagonals, diagonalize_laurent,
                       pid_homology_order, poly_to_str)
 from .chain import induced_maps, pullback_representation, specialize
 from .groups import CohomologyClass, Representation, eval_word
@@ -23,9 +23,7 @@ class AlexError(Exception):
 
 
 class AlexOrder(Frozen):
-    def __init__(self, i: int, poly: LaurentPoly):
-        _setattr(self, "i", i)
-        _setattr(self, "poly", poly)
+    _fields = ("i", "poly")
 
     @property
     def deg(self):
@@ -89,12 +87,7 @@ def twisted_alexander(cx, phi: CohomologyClass, rep: Representation,
 
 
 class ThurstonReport(Frozen):
-    def __init__(self, orders: tuple, bound: Fraction | None, reason: str,
-                 k: int):
-        _setattr(self, "orders", orders)
-        _setattr(self, "bound", bound)
-        _setattr(self, "reason", reason)
-        _setattr(self, "k", k)
+    _fields = ("orders", "bound", "reason", "k")
 
     def format(self, deg_only: bool = False) -> str:
         """A `Delta_i` line per order, its degree alone under deg_only
@@ -125,15 +118,8 @@ def thurston_bound(cx, phi: CohomologyClass, rep: Representation) -> ThurstonRep
 
 
 class DetFormReport(Frozen):
-    def __init__(self, applicable: bool, match: bool | None,
-                 reversed_match: bool | None, det_side: LaurentPoly | None,
-                 order_side: LaurentPoly | None, detail: str):
-        _setattr(self, "applicable", applicable)
-        _setattr(self, "match", match)
-        _setattr(self, "reversed_match", reversed_match)
-        _setattr(self, "det_side", det_side)
-        _setattr(self, "order_side", order_side)
-        _setattr(self, "detail", detail)
+    _fields = ("applicable", "match", "reversed_match", "det_side",
+               "order_side", "detail")
 
     def __str__(self):
         if not self.applicable:
@@ -189,12 +175,7 @@ def _substitute_inverse(ring: LaurentRing, p: LaurentPoly) -> LaurentPoly:
 
 
 class DetabReport(Frozen):
-    def __init__(self, size: int, degree: int | None, det_a_nonzero: bool,
-                 det_b_nonzero: bool):
-        _setattr(self, "size", size)
-        _setattr(self, "degree", degree)
-        _setattr(self, "det_a_nonzero", det_a_nonzero)
-        _setattr(self, "det_b_nonzero", det_b_nonzero)
+    _fields = ("size", "degree", "det_a_nonzero", "det_b_nonzero")
 
     @property
     def equivalence_holds(self) -> bool:

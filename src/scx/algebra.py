@@ -28,21 +28,50 @@ class AlgebraError(Exception):
     pass
 
 
-_setattr = object.__setattr__
-
-
 class Frozen:
     """Base of the immutable value classes.
 
-    Each subclass sets its fields once in `__init__` with `_setattr`
-    (`object.__setattr__`); any later assignment or deletion raises.
+    A subclass names its fields once, in `_fields`; the constructor takes
+    their values positionally in that order, and any later assignment or
+    deletion raises.  A subclass whose `_key` names some of its fields
+    compares, hashes and prints by those; every other compares by identity.
     """
+
+    _fields: tuple = ()
+    _key: tuple = ()
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)}"
+                            f" arguments ({', '.join(fields)}),"
+                            f" {len(values)} given")
+        self.__dict__.update(zip(fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        if not self._key or other.__class__ is not self.__class__:
+            return NotImplemented        # identity, unless other decides
+        return self._key_values() == other._key_values()
+
+    def __hash__(self):
+        return (hash(self._key_values()) if self._key
+                else object.__hash__(self))
+
+    def __repr__(self):
+        if not self._key:
+            return object.__repr__(self)
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._key)
+        return f"{type(self).__name__}({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +223,7 @@ class LaurentPoly(Frozen):
     values and only the zero polynomial is falsy.
     """
 
-    def __init__(self, low: int, coeffs: tuple):
-        _setattr(self, "low", low)
-        _setattr(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.low == other.low and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.low, self.coeffs))
+    _fields = _key = ("low", "coeffs")
 
     def __bool__(self):
         return bool(self.coeffs)

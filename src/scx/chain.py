@@ -15,7 +15,7 @@ time (monomial arithmetic modulo the relator exponent lattice).
 
 from __future__ import annotations
 
-from .algebra import (QQ, Frozen, Matrix, _setattr, kernel_basis, rank, rref,
+from .algebra import (QQ, Frozen, Matrix, kernel_basis, rank, rref,
                       snf_integers, solve)
 from .groups import (GroupPresentation, Representation, eval_word,
                      make_representation, trivial_representation, word_inv,
@@ -34,9 +34,7 @@ MAX_DIM = 3
 
 
 class SubcomplexRef(Frozen):
-    def __init__(self, name: str, cells: frozenset):
-        _setattr(self, "name", name)
-        _setattr(self, "cells", cells)
+    _fields = ("name", "cells")
 
 
 class EquivariantComplex:
@@ -271,11 +269,7 @@ def _ab_reduce(vec, lattice):
 
 
 class TwistedComplex(Frozen):
-    def __init__(self, dom, k: int, cells: dict, mats: dict):
-        _setattr(self, "dom", dom)
-        _setattr(self, "k", k)
-        _setattr(self, "cells", cells)
-        _setattr(self, "mats", mats)
+    _fields = ("dom", "k", "cells", "mats")
 
     def n_cells(self, d) -> int:
         return len(self.cells.get(d, ()))
@@ -293,19 +287,7 @@ class BettiVector(Frozen):
     """Betti numbers b_0..b_3 under a k-dimensional representation over
     the named field; == and hash compare all three."""
 
-    def __init__(self, b: tuple, k: int, field_name: str):
-        _setattr(self, "b", b)
-        _setattr(self, "k", k)
-        _setattr(self, "field_name", field_name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.b, self.k, self.field_name) == (other.b, other.k,
-                                                     other.field_name)
-
-    def __hash__(self):
-        return hash((self.b, self.k, self.field_name))
+    _fields = _key = ("b", "k", "field_name")
 
     def __iter__(self):
         return iter(self.b)
@@ -408,10 +390,7 @@ def betti(tc: TwistedComplex) -> BettiVector:
 
 
 class CheckReport(Frozen):
-    def __init__(self, name: str, ok: bool, details: dict):
-        _setattr(self, "name", name)
-        _setattr(self, "ok", ok)
-        _setattr(self, "details", details)
+    _fields = ("name", "ok", "details")
 
     def __str__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.details.items())
@@ -552,12 +531,7 @@ class CellMap(Frozen):
     """Chain-level map between complexes: a word homomorphism plus per-cell
     images with rebasing words."""
 
-    def __init__(self, source: EquivariantComplex, target: EquivariantComplex,
-                 gen_words: tuple, cell_images: dict):
-        _setattr(self, "source", source)
-        _setattr(self, "target", target)
-        _setattr(self, "gen_words", gen_words)
-        _setattr(self, "cell_images", cell_images)
+    _fields = ("source", "target", "gen_words", "cell_images")
 
 
 def pullback_representation(group, gen_words, rep: Representation) -> Representation:

@@ -15,7 +15,7 @@ import sys
 from .algebra import QQ, AlgebraError, Matrix, field_by_tag
 from .chain import ChainError, betti, euler_check, h0_vanishing_check, specialize
 from .groups import (CohomologyClass, GroupError, enumerate_quotients,
-                     make_representation, permutation_quotient,
+                     make_representation, parse_int, permutation_quotient,
                      permutation_representation, trivial_representation)
 from .scxio import (ParseError, RepDocument, inline_rep, parse_assignments,
                     parse_rep, parse_scx, serialize_scx)
@@ -119,7 +119,8 @@ def resolve_phi(spec: str, doc):
     """
     if spec.startswith("inline:"):
         try:
-            values = parse_assignments(spec.partition(":")[2].split(","), int)
+            values = parse_assignments(spec.partition(":")[2].split(","),
+                                       parse_int)
         except ParseError as e:
             raise UsageError(f"--phi: {e}") from e
         for name in values:
@@ -147,7 +148,7 @@ def _field(text):
 
 
 def _at_least(text, low):
-    value = int(text)
+    value = parse_int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .algebra import QQ, AlgebraError, Frozen, Matrix, _setattr, inverse
+from .algebra import QQ, AlgebraError, Frozen, Matrix, inverse
 
 
 class GroupError(Exception):
@@ -22,6 +22,21 @@ class GroupError(Exception):
 
 class SizeLimitError(GroupError):
     pass
+
+
+def parse_int(text: str) -> int:
+    """The one integer syntax of every input: an optional sign, then ASCII
+    digits; surrounding white space is ignored.  ValueError otherwise, also
+    for the '1_0' and non-ASCII digits that int() alone takes.
+
+    >>> parse_int(" -12"), parse_int("+3")
+    (-12, 3)
+    """
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(body)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +73,10 @@ def word_exponent_vector(word, ngens) -> tuple:
 class GroupPresentation(Frozen):
     """Finite presentation; relator words reference declared generators only.
 
-    == and hash compare the generator names and relator words.
+    ==, hash and repr go by the generator names and relator words.
     """
+
+    _fields = _key = ("gens", "relators")
 
     def __init__(self, gens: tuple, relators: tuple):
         if len(set(gens)) != len(gens):
@@ -68,20 +85,7 @@ class GroupPresentation(Frozen):
             for k in r:
                 if not 1 <= abs(k) <= len(gens):
                     raise GroupError("relator uses undeclared generator")
-        _setattr(self, "gens", gens)
-        _setattr(self, "relators", relators)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gens, self.relators) == (other.gens, other.relators)
-
-    def __hash__(self):
-        return hash((self.gens, self.relators))
-
-    def __repr__(self):
-        return (f"GroupPresentation(gens={self.gens!r},"
-                f" relators={self.relators!r})")
+        super().__init__(gens, relators)
 
     @property
     def ngens(self) -> int:
@@ -94,18 +98,25 @@ class GroupPresentation(Frozen):
             raise GroupError(f"unknown generator {name!r}") from None
 
     def parse_word(self, text: str) -> tuple:
-        """Parse 'x*y^-1*x^2'; the token '1' is the identity.
+        """Parse 'x*y^-1*x^2': factors joined by '*', each the identity '1',
+        a generator, or a generator, '^' and an integer (`parse_int`).
 
         >>> GroupPresentation(("x", "y"), ()).parse_word("x*y^-1")
         (1, -2)
         """
         letters = []
-        for tok in text.strip().split("*"):
+        for tok in text.split("*"):
             tok = tok.strip()
-            if tok == "1" or tok == "":
+            if not tok:
+                raise GroupError(f"empty factor in word {text!r}")
+            if tok == "1":
                 continue
-            name, _, etext = tok.partition("^")
-            e = int(etext) if etext else 1
+            name, caret, etext = tok.partition("^")
+            try:
+                e = parse_int(etext) if caret else 1
+            except ValueError:
+                raise GroupError(f"bad exponent {etext!r} in word"
+                                 f" {text!r}") from None
             idx = self.gen_index(name)
             letters.extend([idx if e > 0 else -idx] * abs(e))
         return word_reduce(letters)
@@ -129,8 +140,7 @@ class GroupPresentation(Frozen):
 class CohomologyClass(Frozen):
     """Integer weight per generator name; must vanish on all relators."""
 
-    def __init__(self, values: dict):
-        _setattr(self, "values", values)
+    _fields = ("values",)
 
     def weight(self, pres: GroupPresentation, word) -> int:
         total = 0
@@ -215,7 +225,8 @@ def perm_from_cycles(text: str, n: int) -> tuple:
     used = set()
     for cyc in cycles:
         try:
-            pts = [int(t) - 1 for t in "".join(cyc).replace(",", " ").split()]
+            pts = [parse_int(t) - 1
+                   for t in "".join(cyc).replace(",", " ").split()]
         except ValueError:
             raise GroupError(f"non-integer point in {text!r}") from None
         if any(not 0 <= p < n for p in pts) or len(set(pts)) != len(pts):
@@ -271,25 +282,8 @@ class FiniteQuotient(Frozen):
     transitivity and the regular representation are all read off it.
     """
 
-    def __init__(self, pres: GroupPresentation, degree: int, images: tuple,
-                 elements: tuple):
-        _setattr(self, "pres", pres)
-        _setattr(self, "degree", degree)
-        _setattr(self, "images", images)
-        _setattr(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.pres, self.degree, self.images)
-                == (other.pres, other.degree, other.images))
-
-    def __hash__(self):
-        return hash((self.pres, self.degree, self.images))
-
-    def __repr__(self):
-        return (f"FiniteQuotient(pres={self.pres!r}, degree={self.degree!r},"
-                f" images={self.images!r})")
+    _fields = ("pres", "degree", "images", "elements")
+    _key = ("pres", "degree", "images")
 
     @property
     def image_order(self) -> int:
@@ -404,15 +398,8 @@ def enumerate_quotients(pres: GroupPresentation, max_degree: int,
 class Representation(Frozen):
     """Generator matrices over an exact domain, relators verified at build."""
 
-    def __init__(self, pres: GroupPresentation, dim: int, dom, mats: tuple,
-                 inv_mats: tuple, provenance: str, unitary: bool):
-        _setattr(self, "pres", pres)
-        _setattr(self, "dim", dim)
-        _setattr(self, "dom", dom)
-        _setattr(self, "mats", mats)
-        _setattr(self, "inv_mats", inv_mats)
-        _setattr(self, "provenance", provenance)
-        _setattr(self, "unitary", unitary)
+    _fields = ("pres", "dim", "dom", "mats", "inv_mats", "provenance",
+               "unitary")
 
     def gen_matrix(self, idx: int, sign: int) -> Matrix:
         return self.mats[idx - 1] if sign > 0 else self.inv_mats[idx - 1]

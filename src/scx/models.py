@@ -134,7 +134,6 @@ def interval_product(base: ScxDocument, subs=True) -> ScxDocument:
     doc.relators = base.relators
     cells = []
     boundaries = {}
-    dims = dict(base.cells)
     for name, dim in base.cells:
         if dim + 1 > 3:
             raise ChainError("interval product would exceed dimension 3")
@@ -401,18 +400,16 @@ def fibered_cut():
     fcx = fiber.complex()
     xcx = xminus_doc.complex()
     iota_l = CellMap(
-        source=fcx, target=xcx, gen_words=((1,), (2,)),
-        cell_images={"v": ((1, (), "vm"),), "a": ((1, (), "am"),),
-                     "b": ((1, (), "bm"),)})
+        fcx, xcx, ((1,), (2,)),
+        {"v": ((1, (), "vm"),), "a": ((1, (), "am"),), "b": ((1, (), "bm"),)})
     mono = ((2,), (2, -1))      # a -> b, b -> b a^-1
     # a and b go to the loops on the top edges that spell their monodromy
     # words, lifted by the relator rule
     a_top, b_top = (tuple(attach_terms(xminus_doc.boundaries,
                                        relator_steps(("ap", "bp"), w))[0])
                     for w in mono)
-    iota_r = CellMap(
-        source=fcx, target=xcx, gen_words=mono,
-        cell_images={"v": ((1, (), "vp"),), "a": a_top, "b": b_top})
+    iota_r = CellMap(fcx, xcx, mono,
+                     {"v": ((1, (), "vp"),), "a": a_top, "b": b_top})
     return {"w_doc": trefoil_fibered(), "fiber": fcx, "xminus": xcx,
             "iota_l": iota_l, "iota_r": iota_r,
             "x_in_w": ((1,), (2,)), "stable": (3,)}

@@ -11,6 +11,9 @@ Grammar (one directive per line, `# ...` comments ignored):
     meta phi <name> <gen>=<int> ...
     meta <key> <value...>
 
+Every integer is an optional sign and ASCII digits (`groups.parse_int`), and
+a word's factors and exponents are never empty (`parse_word`).
+
 A cell has at most one `bnd` line, a subcomplex, phi class or meta key is
 given once and a `sub` line names each cell once: a repeat is a ParseError.
 
@@ -22,7 +25,7 @@ formally canceling pairs) since they carry incidence data.
 from __future__ import annotations
 
 from .chain import EquivariantComplex
-from .groups import GroupPresentation
+from .groups import GroupError, GroupPresentation, parse_int
 
 
 class ParseError(Exception):
@@ -97,7 +100,7 @@ def _flag(key, text, line=None) -> bool:
 def _int(key, text, line=None, low=None) -> int:
     """A `meta` integer or a rep-file size (`low` 1)."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise ParseError(f"{key} must be an integer, got {text!r}",
                          line) from None
@@ -165,7 +168,7 @@ def parse_scx(text: str) -> ScxDocument:
             if name in cellnames:
                 raise ParseError(f"duplicate cell {name!r}", lineno)
             try:
-                dim = int(tokens[3])
+                dim = parse_int(tokens[3])
             except ValueError:
                 raise ParseError("cell dimension must be an integer", lineno,
                                  raw.find(tokens[3]) + 1) from None
@@ -200,7 +203,7 @@ def parse_scx(text: str) -> ScxDocument:
                     raise ParseError("meta phi needs a class name", lineno)
                 if tokens[2] in doc.phis:
                     raise ParseError(f"phi {tokens[2]!r} given twice", lineno)
-                doc.phis[tokens[2]] = parse_assignments(tokens[3:], int,
+                doc.phis[tokens[2]] = parse_assignments(tokens[3:], parse_int,
                                                         lineno)
                 phi_lines[tokens[2]] = lineno
             else:
@@ -223,7 +226,7 @@ def parse_scx(text: str) -> ScxDocument:
     for wtext, lineno in relator_texts:
         try:
             relators.append(pres.parse_word(wtext))
-        except Exception as e:
+        except GroupError as e:
             raise ParseError(f"bad relator word: {e}", lineno) from None
     doc.relators = tuple(relators)
     pres = doc.presentation()
@@ -242,7 +245,7 @@ def parse_scx(text: str) -> ScxDocument:
                 raise ParseError(f"boundary term {chunk!r} needs"
                                  " coeff*word*cell", lineno)
             try:
-                coeff = int(pieces[0])
+                coeff = parse_int(pieces[0])
             except ValueError:
                 raise ParseError(f"bad coefficient {pieces[0]!r}", lineno) from None
             target = pieces[-1]
@@ -255,7 +258,7 @@ def parse_scx(text: str) -> ScxDocument:
                                  f" {dims[target]})", lineno)
             try:
                 word = pres.parse_word("*".join(pieces[1:-1]))
-            except Exception as e:
+            except GroupError as e:
                 raise ParseError(f"bad boundary word: {e}", lineno) from None
             terms.append((coeff, word, target))
         doc.boundaries[name] = tuple(terms)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import QQ, Frozen, _setattr
-from .chain import ChainError, SubcomplexRef, betti, specialize
-from .groups import (CohomologyClass, enumerate_quotients, eval_word_perm,
-                     perm_group_order, regular_representation,
+from .algebra import QQ, Frozen
+from .chain import (ChainError, EquivariantComplex, SubcomplexRef, betti,
+                    specialize)
+from .groups import (CohomologyClass, SizeLimitError, enumerate_quotients,
+                     eval_word_perm, perm_group_order, regular_representation,
                      trivial_representation, word_inv, word_mul)
 from .scxio import ScxDocument
 
@@ -34,12 +35,12 @@ VERDICT_STATUSES = ("certified-taut", "certified-not-product", "unknown")
 
 
 class Verdict(Frozen):
+    _fields = ("status", "witness", "log")
+
     def __init__(self, status: str, witness: dict | None, log: dict):
         if status not in VERDICT_STATUSES:
             raise SuturedError(f"unknown verdict status {status!r}")
-        _setattr(self, "status", status)
-        _setattr(self, "witness", witness)
-        _setattr(self, "log", log)
+        super().__init__(status, witness, log)
 
     def report(self) -> str:
         lines = [f"verdict: {self.status}"]
@@ -256,9 +257,11 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
         images = [eval_word_perm(q.images, w, q.degree) for w in gen_words]
         sub_order = perm_group_order(images)
         index_fired = sub_order < q.image_order
-        direct = None
-        if q.image_order <= max(regular_cap, 1):
+        try:
             reg = regular_representation(q, QQ, cap=regular_cap)
+        except SizeLimitError:
+            direct = None
+        else:
             direct = betti(specialize(sc.cx, reg, rminus))
         if not index_fired and (direct is None or direct[1] == 0):
             return None
@@ -290,16 +293,8 @@ def nonproduct_search(sc: SuturedComplex, max_degree: int = 3,
 
 
 class BoundReport(Frozen):
-    def __init__(self, bound: Fraction, chi_minus_rminus: int,
-                 chi_minus_rplus: int, b1_rminus: int, b1_rplus: int, k: int,
-                 sharp: bool):
-        _setattr(self, "bound", bound)
-        _setattr(self, "chi_minus_rminus", chi_minus_rminus)
-        _setattr(self, "chi_minus_rplus", chi_minus_rplus)
-        _setattr(self, "b1_rminus", b1_rminus)
-        _setattr(self, "b1_rplus", b1_rplus)
-        _setattr(self, "k", k)
-        _setattr(self, "sharp", sharp)
+    _fields = ("bound", "chi_minus_rminus", "chi_minus_rplus", "b1_rminus",
+               "b1_rplus", "k", "sharp")
 
     def __str__(self):
         lines = [f"x(M,gamma) >= {self.bound}",
@@ -337,12 +332,7 @@ def complexity_lower_bound(sc: SuturedComplex, rep) -> BoundReport:
 
 
 class DoubleResult(Frozen):
-    def __init__(self, document: ScxDocument, cx: EquivariantComplex,
-                 phi: CohomologyClass, retraction: dict):
-        _setattr(self, "document", document)
-        _setattr(self, "_cx", cx)
-        _setattr(self, "phi", phi)
-        _setattr(self, "retraction", retraction)
+    _fields = ("document", "_cx", "phi", "retraction")
 
     def complex(self) -> EquivariantComplex:
         """The complex of `document`, as built and checked by `double`."""

@@ -231,10 +231,9 @@ class TestDetForm:
     def test_incompatible_cell_map_rejected(self):
         from scx.chain import ChainError, CellMap, induced_map
         cut = fibered_cut()
-        broken = CellMap(source=cut["iota_r"].source,
-                         target=cut["iota_r"].target,
-                         gen_words=((1,), (2,)),    # identity words
-                         cell_images=cut["iota_r"].cell_images)
+        broken = CellMap(cut["iota_r"].source, cut["iota_r"].target,
+                         ((1,), (2,)),    # identity words
+                         cut["iota_r"].cell_images)
         rep = trivial_representation(cut["xminus"].group, 1, QQ)
         q = list(enumerate_quotients(cut["xminus"].group, 2))[1]
         rep2 = permutation_representation(q)

@@ -419,6 +419,27 @@ class TestStrictInput:
             code, out, err = run(capsys, command, path)
             assert (code, out, err) == (EX_DATA, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("meta sutures 1", "meta sutures 1_0",
+         "meta sutures must be an integer, got '1_0' (line 24)"),
+        ("cell vm dim 0", "cell vm dim 0_0",
+         "cell dimension must be an integer (line 4, column 13)"),
+        ("bnd am = 1*a*vm + -1*1*vm", "bnd am = 1*a*vm + -0_1*1*vm",
+         "bad coefficient '-0_1' (line 13)"),
+        ("bnd am = 1*a*vm + -1*1*vm", "bnd am = 1*a^*vm + -1*1*vm",
+         "bad boundary word: bad exponent '' in word 'a^' (line 13)"),
+        ("bnd am = 1*a*vm + -1*1*vm", "bnd am = 1*a*vm + -1**1*vm",
+         "bad boundary word: empty factor in word '*1' (line 13)")],
+        ids=["meta", "dim", "coefficient", "exponent", "factor"])
+    def test_integer_and_word_errors_give_their_line(self, capsys, tmp_path,
+                                                     old, new, message):
+        """int() alone would read 1_0 as 10, and the old word reader took
+        an empty exponent or factor for none."""
+        path = _product_T1(tmp_path, old, new)
+        for command in ("certify-taut", "nonproduct", "bounds"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out, err) == (EX_DATA, "", f"error: {message}\n")
+
     def test_check_reports_before_a_bad_meta_value(self, capsys, tmp_path):
         """check prints what it knows of the complex before reading the
         sutured metadata."""
@@ -477,7 +498,10 @@ class TestInlineSpellings:
         ("perm:3:zz=(1 2)", "kind perm\ndegree 3\ngen zz = (1 2)\n"),
         ("perm:3:a=(1 2),a=(1 3)",
          "kind perm\ndegree 3\ngen a = (1 2)\ngen a = (1 3)\n"),
-        ("perm:3:a", "kind perm\ndegree 3\ngen a\n")])
+        ("perm:3:a", "kind perm\ndegree 3\ngen a\n"),
+        ("trivial:1_0", "kind trivial\ndim 1_0\n"),
+        ("perm:0_3:", "kind perm\ndegree 0_3\n"),
+        ("perm:3:a=(1 0_2)", "kind perm\ndegree 3\ngen a = (1 0_2)\n")])
     def test_malformed(self, capsys, tmp_path, spec, body):
         path = tmp_path / "rep.txt"
         path.write_text("rep 1\n" + body)
@@ -604,6 +628,17 @@ class TestUsageAndErrors:
         code, _, err = run(capsys, "homology", "bundled:product_T1",
                            "--rel", "R9")
         assert "declared: R-, R+" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["nonproduct", "bundled:product_T1", "--max-degree", "0_2"],
+        ["quotients", "bundled:product_T1", "--max-degree", "\u0662"],
+        ["nonproduct", "bundled:product_T1", "--max-degree", "2",
+         "--max-regular-dim", "6_4"],
+        ["alex", "bundled:trefoil", "--phi", "inline:x=1_0,y=1_0"]],
+        ids=["underscore", "arabic-indic", "regular-dim", "phi"])
+    def test_integer_options_are_sign_and_ascii_digits(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EX_USAGE, "") and err.startswith("usage error:")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

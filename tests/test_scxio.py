@@ -88,6 +88,37 @@ class TestGrammar:
         assert "only format version 1" in str(e.value) and e.value.line == 2
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("cell w dim \u0660", "cell dimension must be an integer"),
+        ("cell w dim 0_0", "cell dimension must be an integer"),
+        ("bnd e = 1_0*1*v", "bad coefficient '1_0'"),
+        ("bnd e = \u0661*1*v", "bad coefficient '\u0661'"),
+        ("rel x^1_0", "bad exponent '1_0' in word 'x^1_0'"),
+        ("rel x^\u0662", "bad exponent '\u0662'"),
+        ("rel x^", "bad exponent '' in word 'x^'"),
+        ("rel x^+", "bad exponent '+'"),
+        ("rel 1*x**x", "empty factor in word '1*x**x'"),
+        ("rel *x", "empty factor in word '*x'"),
+        ("rel x*", "empty factor in word 'x*'"),
+        ("bnd e = 1*x**x*v", "empty factor in word 'x**x'"),
+        ("bnd e = 1**v", "empty factor in word ''"),
+        ("bnd e = 1*x^*v", "bad exponent ''")])
+    def test_integers_and_words_follow_the_grammar(self, line, message):
+        """An integer is an optional sign and ASCII digits; a word is
+        nonempty factors joined by '*', an exponent an integer."""
+        text = f"scx 1\ngen x\ncell v dim 0\ncell e dim 1\n{line}\n"
+        with pytest.raises(ParseError) as e:
+            parse_scx(text)
+        assert message in str(e.value) and e.value.line == 5
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-0_1"])
+    def test_meta_integer(self, value):
+        doc = parse_scx(f"scx 1\nmeta sutures {value}\n")
+        with pytest.raises(ParseError, match="meta sutures must be an"
+                           " integer") as e:
+            doc.meta_int("sutures")
+        assert e.value.line == 2
+
     def test_sub_lists_each_cell_once(self):
         text = MINIMAL.replace("sub R- = q m", "sub R- = q m q")
         with pytest.raises(ParseError) as e:
@@ -146,7 +177,9 @@ class TestAssignments:
     @pytest.mark.parametrize("line,message", [
         ("meta phi c x=1 y", "expected name=value"),
         ("meta phi c x=1 x=0", "'x' assigned twice"),
-        ("meta phi c x=1.5", "bad value '1.5'")])
+        ("meta phi c x=1.5", "bad value '1.5'"),
+        ("meta phi c x=1_0", "bad value '1_0'"),
+        ("meta phi c x=\u0661", "bad value '\u0661'")])
     def test_meta_phi_keeps_its_line(self, line, message):
         with pytest.raises(ParseError) as e:
             parse_scx(f"scx 1\ngen x y\n{line}\n")
@@ -167,7 +200,8 @@ class TestInlineRep:
 
     @pytest.mark.parametrize("spec", [
         "trivial:", "trivial:0", "trivial:x", "perm:0:", "perm:x:",
-        "perm:3:x", "perm:3:x=(1 2),x=(1 3)", "matrix:2"])
+        "perm:3:x", "perm:3:x=(1 2),x=(1 3)", "matrix:2", "trivial:1_0",
+        "perm:\u0663:"])
     def test_malformed(self, spec):
         with pytest.raises(ParseError) as e:
             inline_rep(spec)
@@ -242,7 +276,8 @@ class TestRepFormat:
         with pytest.raises(ParseError):
             parse_rep("rep 1\nkind nonsense\n")
 
-    @pytest.mark.parametrize("line", ["dim x", "dim", "degree 1.5", "dim 0"])
+    @pytest.mark.parametrize("line", ["dim x", "dim", "degree 1.5", "dim 0",
+                                      "dim 1_0", "dim \u0663"])
     def test_bad_size(self, line):
         with pytest.raises(ParseError):
             parse_rep(f"rep 1\nkind matrix\n{line}\n")

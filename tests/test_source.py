@@ -1,6 +1,7 @@
 """Source-level guards: no check in the package relies on `assert`, every
-hook of the traced benchmark names a function that exists, and importing
-the CLI loads what the commands and the benchmark need and no more."""
+annotation names something its module can see, every hook of the traced
+benchmark names a function that exists, and importing the CLI loads what
+the commands and the benchmark need and no more."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ import inspect
 import json
 import subprocess
 import sys
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import scx
@@ -23,6 +26,45 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _annotated(module):
+    """The module and each class and function it defines, with the methods,
+    properties and class methods of each class."""
+    yield module
+    for obj in vars(module).values():
+        if not ((inspect.isclass(obj) or inspect.isfunction(obj))
+                and obj.__module__ == module.__name__):
+            continue
+        yield obj
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                if isinstance(member, (classmethod, staticmethod)):
+                    yield member.__func__
+                elif isinstance(member, property):
+                    yield member.fget
+                elif isinstance(member, cached_property):
+                    yield member.func
+                elif inspect.isfunction(member):
+                    yield member
+
+
+def test_annotations_resolve():
+    """Annotations are strings under `from __future__ import annotations`,
+    so a name used only in them can go unimported unseen until
+    `typing.get_type_hints` evaluates it."""
+    failed = []
+    for path in sorted(Path(scx.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":     # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"scx.{path.stem}")
+        for obj in _annotated(module):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as e:
+                failed.append(f"{path.stem}:"
+                              f"{getattr(obj, '__qualname__', '')}: {e}")
+    assert not failed, failed
 
 
 def _child_constants():

@@ -16,26 +16,28 @@ from scx.sutured import SuturedError, ValidationReport, Verdict
 R = LaurentRing(QQ)
 PRES = GroupPresentation(("a", "b"), ())
 
-# class name -> constructor arguments; the values are placeholders, since
-# only GroupPresentation and Verdict check theirs
+# class name -> (constructor arguments, the fields == and hash go by); the
+# values are placeholders, since only GroupPresentation and Verdict check
+# theirs, and a class with no key fields compares by identity
 FROZEN = {
-    "AlexOrder": (0, R.zero),
-    "ThurstonReport": ((), None, "", 1),
-    "DetFormReport": (False, None, None, None, None, ""),
-    "DetabReport": (1, None, True, True),
-    "LaurentPoly": (0, ()),
-    "SubcomplexRef": ("R-", frozenset()),
-    "TwistedComplex": (QQ, 1, {}, {}),
-    "BettiVector": ((0, 0, 0, 0), 1, "Q"),
-    "CheckReport": ("euler", True, {}),
-    "CellMap": (None, None, (), {}),
-    "GroupPresentation": (("x",), ()),
-    "CohomologyClass": ({},),
-    "FiniteQuotient": (PRES, 1, ((0,), (0,)), ((0,),)),
-    "Representation": (PRES, 1, QQ, (), (), "trivial", True),
-    "Verdict": ("unknown", None, {}),
-    "BoundReport": (Fraction(0), 0, 0, 0, 0, 1, False),
-    "DoubleResult": (None, None, None, {}),
+    "AlexOrder": ((0, R.zero), ()),
+    "ThurstonReport": (((), None, "", 1), ()),
+    "DetFormReport": ((False, None, None, None, None, ""), ()),
+    "DetabReport": ((1, None, True, True), ()),
+    "LaurentPoly": ((0, ()), ("low", "coeffs")),
+    "SubcomplexRef": (("R-", frozenset()), ()),
+    "TwistedComplex": ((QQ, 1, {}, {}), ()),
+    "BettiVector": (((0, 0, 0, 0), 1, "Q"), ("b", "k", "field_name")),
+    "CheckReport": (("euler", True, {}), ()),
+    "CellMap": ((None, None, (), {}), ()),
+    "GroupPresentation": ((("x",), ()), ("gens", "relators")),
+    "CohomologyClass": (({},), ()),
+    "FiniteQuotient": ((PRES, 1, ((0,), (0,)), ((0,),)),
+                       ("pres", "degree", "images")),
+    "Representation": ((PRES, 1, QQ, (), (), "trivial", True), ()),
+    "Verdict": (("unknown", None, {}), ()),
+    "BoundReport": ((Fraction(0), 0, 0, 0, 0, 1, False), ()),
+    "DoubleResult": ((None, None, None, {}), ()),
 }
 
 
@@ -55,7 +57,7 @@ def test_every_frozen_class_is_listed():
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_frozen_refuses_assignment(name):
-    obj = _frozen_classes()[name](*FROZEN[name])
+    obj = _frozen_classes()[name](*FROZEN[name][0])
     field = next(iter(vars(obj)))
     before = getattr(obj, field)
     with pytest.raises(AttributeError):
@@ -65,6 +67,40 @@ def test_frozen_refuses_assignment(name):
     with pytest.raises(AttributeError):
         obj.new_field = 1
     assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_fields_are_the_arguments_in_order(name):
+    cls = _frozen_classes()[name]
+    args = FROZEN[name][0]
+    obj = cls(*args)
+    assert tuple(vars(obj)) == cls._fields
+    assert all(getattr(obj, f) is a for f, a in zip(cls._fields, args))
+    for wrong in (args[:-1], args + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_equality_goes_by_the_key(name):
+    """A class with key fields compares, hashes and prints by them and by
+    nothing else; every other class compares by identity."""
+    cls = _frozen_classes()[name]
+    args, key = FROZEN[name]
+    one, two = cls(*args), cls(*args)
+    assert cls._key == key
+    if not key:
+        assert one != two and not one == two and one == one
+        assert hash(one) == object.__hash__(one)
+        assert repr(one) == object.__repr__(one)
+        return
+    assert one == two and not one != two and hash(one) == hash(two)
+    assert repr(one) == (f"{name}(" + ", ".join(
+        f"{f}={getattr(one, f)!r}" for f in key) + ")")
+    for field in cls._fields:
+        other = cls.__new__(cls)
+        vars(other).update(vars(one), **{field: object()})
+        assert (other == one) is (field not in key), field
 
 
 def test_mutable_defaults_are_fresh():
