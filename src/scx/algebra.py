@@ -83,6 +83,8 @@ class RationalField:
 
     >>> QQ.add(Fraction(1, 2), Fraction(1, 3))
     Fraction(5, 6)
+    >>> QQ.of("-3/6")
+    Fraction(-1, 2)
     """
 
     name = "Q"
@@ -94,8 +96,14 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
+            # [sign]digits or [sign]digits/digits, each part read by
+            # groups.parse_int: Fraction() alone also takes 1_0, ٣, 0.5, 1e3
+            from .groups import parse_int      # groups imports this module
+            num, slash, den = x.partition("/")
             try:
-                return Fraction(x)
+                if den.lstrip()[:1] in ("+", "-"):
+                    raise ValueError(f"signed denominator {den!r}")
+                return Fraction(parse_int(num), parse_int(den) if slash else 1)
             except (ValueError, ZeroDivisionError):
                 raise AlgebraError(f"{x!r} is not a rational number") from None
         raise AlgebraError(f"cannot coerce {x!r} into Q")

@@ -342,10 +342,20 @@ def specialize(cx: EquivariantComplex, rep: Representation,
 def _block_matrix(ev: _RepEvaluator, row_cells, col_cells, terms,
                   skip=frozenset()) -> Matrix:
     """Each term (c, w, target) of terms[cell] adds the k x k block
-    c * rho(w) at (target, cell); targets in `skip` add nothing."""
+    c * rho(w) at (target, cell); targets in `skip` add nothing.
+
+    c is coerced once per term, and not at all when it is 1.  An entry
+    whose slot still holds the shared `dom.zero` object is written into it,
+    not added: entries are canonical, so dom.add(zero, v) == v in every
+    domain.  Identity only picks that path; a slot holding an equal zero
+    that is another object (terms that cancelled there) goes through
+    dom.add, which gives the same value, so the matrix is the sum of the
+    blocks either way.
+    """
     dom, k = ev.rep.dom, ev.rep.dim
+    zero = dom.zero
     idx = {c: i for i, c in enumerate(row_cells)}
-    mat = [[dom.zero] * (k * len(col_cells)) for _ in range(k * len(row_cells))]
+    mat = [[zero] * (k * len(col_cells)) for _ in range(k * len(row_cells))]
     for j, cell in enumerate(col_cells):
         for coeff, word, target in terms.get(cell, ()):
             if target in skip:
@@ -356,11 +366,13 @@ def _block_matrix(ev: _RepEvaluator, row_cells, col_cells, terms,
                 raise ChainError(f"{cell!r} maps to {target!r}, which is not"
                                  " a cell of the target degree") from None
             j0 = j * k
+            c = None if coeff == 1 else dom.of(coeff)
             for a, b, v in ev(word):
-                if coeff != 1:
-                    v = dom.mul(dom.of(coeff), v)
+                if c is not None:
+                    v = dom.mul(c, v)
                 row = mat[i0 + a]
-                row[j0 + b] = dom.add(row[j0 + b], v)
+                x = row[j0 + b]
+                row[j0 + b] = v if x is zero else dom.add(x, v)
     return Matrix(dom, mat, k * len(row_cells), k * len(col_cells))
 
 

@@ -15,8 +15,9 @@ import sys
 from .algebra import QQ, AlgebraError, Matrix, field_by_tag
 from .chain import ChainError, betti, euler_check, h0_vanishing_check, specialize
 from .groups import (CohomologyClass, GroupError, enumerate_quotients,
-                     make_representation, parse_int, permutation_quotient,
-                     permutation_representation, trivial_representation)
+                     make_representation, parse_int, perm_from_cycles,
+                     permutation_quotient, permutation_representation,
+                     trivial_representation)
 from .scxio import (ParseError, RepDocument, inline_rep, parse_assignments,
                     parse_rep, parse_scx, serialize_scx)
 from .sutured import (PreconditionError, SuturedComplex,
@@ -92,20 +93,32 @@ def representation_from_document(doc: RepDocument, pres, dom):
                              f" field {file_dom.name}")
         dom = file_dom
     dom = dom or QQ
+
+    def image(name, build, *args):
+        """build(*args) for generator `name`; an unknown name or a malformed
+        image is reported at the name's `gen` line."""
+        try:
+            pres.gen_index(name)
+            return build(*args)
+        except (GroupError, AlgebraError) as e:
+            raise ParseError(str(e), doc.gen_lines.get(name)) from e
+
     if doc.kind == "trivial":
         return trivial_representation(pres, doc.dim, dom)
     try:
         if doc.kind == "perm":
+            # each image first on its own, so that an error names its line
+            for name, text in doc.perms.items():
+                image(name, perm_from_cycles, text, doc.degree)
             q = permutation_quotient(pres, doc.degree, doc.perms)
             return permutation_representation(q, dom)
-        for name in doc.matrices:
-            pres.gen_index(name)
-        mats = []
+        mats = {name: image(name, Matrix.from_rows, dom, rows)
+                for name, rows in doc.matrices.items()}
         for g in pres.gens:
-            if g not in doc.matrices:
+            if g not in mats:
                 raise ParseError(f"matrix representation missing generator {g!r}")
-            mats.append(Matrix.from_rows(dom, doc.matrices[g]))
-        return make_representation(pres, mats, unitary=doc.unitary_assertion)
+        return make_representation(pres, [mats[g] for g in pres.gens],
+                                   unitary=doc.unitary_assertion)
     except GroupError as e:
         raise ParseError(str(e)) from e
 

@@ -24,6 +24,10 @@ class SizeLimitError(GroupError):
     pass
 
 
+# a word may expand to at most this many letters before free reduction
+MAX_WORD_LETTERS = 10**5
+
+
 def parse_int(text: str) -> int:
     """The one integer syntax of every input: an optional sign, then ASCII
     digits; surrounding white space is ignored.  ValueError otherwise, also
@@ -100,11 +104,15 @@ class GroupPresentation(Frozen):
     def parse_word(self, text: str) -> tuple:
         """Parse 'x*y^-1*x^2': factors joined by '*', each the identity '1',
         a generator, or a generator, '^' and an integer (`parse_int`).
+        A factor x^e stands for |e| letters; a word of more than
+        MAX_WORD_LETTERS letters is refused at the factor that passes the
+        limit, so no more than that many are ever written out.
 
         >>> GroupPresentation(("x", "y"), ()).parse_word("x*y^-1")
         (1, -2)
         """
         letters = []
+        length = 0
         for tok in text.split("*"):
             tok = tok.strip()
             if not tok:
@@ -118,6 +126,10 @@ class GroupPresentation(Frozen):
                 raise GroupError(f"bad exponent {etext!r} in word"
                                  f" {text!r}") from None
             idx = self.gen_index(name)
+            length += abs(e)
+            if length > MAX_WORD_LETTERS:
+                raise GroupError(f"word expands to more than"
+                                 f" {MAX_WORD_LETTERS} letters")
             letters.extend([idx if e > 0 else -idx] * abs(e))
         return word_reduce(letters)
 

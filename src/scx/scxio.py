@@ -12,7 +12,8 @@ Grammar (one directive per line, `# ...` comments ignored):
     meta <key> <value...>
 
 Every integer is an optional sign and ASCII digits (`groups.parse_int`), and
-a word's factors and exponents are never empty (`parse_word`).
+a word's factors and exponents are never empty and spell out at most
+`groups.MAX_WORD_LETTERS` letters (`parse_word`).
 
 A cell has at most one `bnd` line, a subcomplex, phi class or meta key is
 given once and a `sub` line names each cell once: a repeat is a ParseError.
@@ -297,7 +298,8 @@ def serialize_scx(doc: ScxDocument) -> str:
 
 class RepDocument:
     """Parsed representation file: trivial / perm / matrix kinds.  The
-    `field_tag` is None when the file has no `field` line."""
+    `field_tag` is None when the file has no `field` line; `gen_lines` maps
+    each generator to its `gen` line, and is empty for an inline spelling."""
 
     def __init__(self, kind: str, field_tag: str | None = None,
                  unitary_assertion: bool = False):
@@ -307,6 +309,7 @@ class RepDocument:
         self.field_tag = field_tag
         self.perms = {}
         self.matrices = {}
+        self.gen_lines = {}
         self.unitary_assertion = unitary_assertion
 
 
@@ -368,6 +371,7 @@ def parse_rep(text: str) -> RepDocument:
         if key not in ("rep", "kind") and key not in _REP_DIRECTIVES[kind]:
             raise ParseError(f"{key!r} does not apply to kind {kind}", lineno)
     doc = RepDocument(kind=kind, field_tag=field_tag, unitary_assertion=unitary)
+    doc.gen_lines = {name: lineno for name, (_, lineno) in pending.items()}
     if kind == "trivial":
         doc.dim = dim if dim is not None else 1
     elif kind == "perm":

@@ -3,12 +3,15 @@
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from scx.algebra import GF, QQ, AlgebraError, Matrix
 from scx.cli import (EX_DATA, EX_FAIL, EX_OK, EX_UNKNOWN, EX_USAGE,
                      bundled_names, load_document, main)
 from scx.groups import FiniteQuotient
@@ -163,6 +166,51 @@ class TestHomology:
         got, out, err = run(capsys, "homology", "bundled:product_A1",
                             "--rel", "R-", "--rep", str(rep))
         assert got == code and message in out + err
+
+    @pytest.mark.parametrize("field", ["q", "f5"])
+    @pytest.mark.parametrize("entry,over_q,over_f5", [
+        ("-1/2", Fraction(-1, 2), 2), ("+3", Fraction(3), 3),
+        ("2/4", Fraction(1, 2), 3)] + [
+        (bad, None, None) for bad in ("1_0", "\u0663", "0.5", "1e3", "1/-2",
+                                      "1/+2", "1/2/3", "/2", "1/", "1/0")])
+    def test_rational_entries_follow_the_integer_rule(
+            self, capsys, tmp_path, field, entry, over_q, over_f5):
+        """A matrix entry is [sign]digits or [sign]digits/digits, each part
+        an integer as `parse_int` reads it, over Q and over F_p alike;
+        Fraction() alone took 1_0 as 10 and \u0663 as 3."""
+        dom, want = (QQ, over_q) if field == "q" else (GF(5), over_f5)
+        rep = tmp_path / "rep.txt"
+        rep.write_text(f"rep 1\nkind matrix\nfield {field}\ndim 1\n"
+                       f"gen a = {entry}\n", encoding="utf-8")
+        code, out, err = run(capsys, "homology", "bundled:product_A1",
+                             "--rep", str(rep))
+        if want is None:
+            assert (code, out) == (EX_DATA, "")
+            assert err == (f"error: {entry!r} is not a rational number"
+                           " (line 5)\n")
+            with pytest.raises(AlgebraError):
+                Matrix.from_rows(dom, [[entry]])
+        else:
+            assert (code, err) == (EX_OK, "")
+            assert Matrix.from_rows(dom, [[entry]]).rows == [[want]]
+
+    @pytest.mark.parametrize("body,message", [
+        ("kind perm\ndegree 3\ngen x = (1 2)\ngen y = (1 0_2)\n",
+         "non-integer point in '(1 0_2)' (line 5)"),
+        ("kind perm\ndegree 3\ngen zz = (1 2)\n",
+         "unknown generator 'zz' (line 4)"),
+        ("kind matrix\ndim 1\ngen x = 1\ngen y = abc\n",
+         "'abc' is not a rational number (line 5)"),
+        ("kind matrix\nfield f5\ndim 1\ngen zz = 1\ngen x = 1\n",
+         "unknown generator 'zz' (line 5)")],
+        ids=["perm-point", "perm-name", "matrix-entry", "matrix-name"])
+    def test_rep_gen_errors_give_their_line(self, capsys, tmp_path, body,
+                                            message):
+        rep = tmp_path / "rep.txt"
+        rep.write_text("rep 1\n" + body)
+        code, out, err = run(capsys, "homology", "bundled:trefoil",
+                             "--rep", str(rep))
+        assert (code, out, err) == (EX_DATA, "", f"error: {message}\n")
 
     def test_bad_rep_rejected(self, capsys, tmp_path):
         doc = tmp_path / "rep.txt"
@@ -439,6 +487,26 @@ class TestStrictInput:
         for command in ("certify-taut", "nonproduct", "bounds"):
             code, out, err = run(capsys, command, path)
             assert (code, out, err) == (EX_DATA, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("exponent", ["100001", "-3000000"])
+    def test_word_exponents_are_bounded(self, capsys, tmp_path, exponent):
+        """A relator that spells out more than 10^5 letters is malformed and
+        refused at once: x^3000000 once took seconds to expand."""
+        path = tmp_path / "long.scx"
+        path.write_text(f"scx 1\ngen x\nrel x^{exponent}\ncell v dim 0\n")
+        for command in ("check", "quotients"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(path))
+            assert time.perf_counter() - start < 1.0, command
+            assert (code, out, err) == (
+                EX_DATA, "", "error: bad relator word: word expands to more"
+                " than 100000 letters (line 3)\n"), command
+        path = _product_T1(tmp_path, "bnd am = 1*a*vm + -1*1*vm",
+                           f"bnd am = 1*a^{exponent}*vm + -1*1*vm")
+        code, out, err = run(capsys, "check", path)
+        assert (code, out, err) == (
+            EX_DATA, "", "error: bad boundary word: word expands to more"
+            " than 100000 letters (line 13)\n")
 
     def test_check_reports_before_a_bad_meta_value(self, capsys, tmp_path):
         """check prints what it knows of the complex before reading the

@@ -3,9 +3,12 @@
 - `algebra.rank` (sparse elimination mod p, trusted over Q only at full
   rank) against the pivot count of the `Fraction`/F_p `rref`;
 - `Matrix.__mul__` (sparse right-hand rows) against a naive triple loop;
-- `chain.specialize` (cached nonzero entries of each word) against a dense
+- `chain.specialize` (cached nonzero entries of each word, each coefficient
+  coerced once, untouched slots written, not summed) against a dense
   builder that evaluates every word with the naive product and fills every
-  k x k block entry by entry;
+  k x k block entry by entry: on the corpus, on random and perturbed
+  complexes and on copies of both whose terms collide and cancel, over Q,
+  F5 and Q[t^±1];
 - `alex.thurston_bound` (one specialization, one diagonal per boundary map)
   against a fresh specialization and `pid_homology_order` for each degree;
 - `FiniteQuotient.transitive`, `.image_order` and `regular_representation`
@@ -46,8 +49,9 @@ from scx.algebra import (GF, QQ, AlgebraError, LaurentPoly, LaurentRing,
                          Matrix, diagonalize_laurent, inverse, kernel_basis,
                          pid_homology_order, rank, rref, solve)
 from scx.alex import det_form_check, laurent_twist, thurston_bound
-from scx.chain import (MAX_DIM, ChainError, EquivariantComplex, betti,
-                       euler_check, induced_map, specialize)
+from scx.chain import (MAX_DIM, ChainError, EquivariantComplex,
+                       SpecializeError, betti, euler_check, induced_map,
+                       specialize)
 from scx.groups import (CohomologyClass, GroupError, Representation,
                         SizeLimitError, _action_representation, check_hom,
                         enumerate_quotients, eval_word, eval_word_perm,
@@ -263,21 +267,116 @@ def _representations(pres, dom):
     return reps
 
 
+def _collided(doc, rng):
+    """doc with the same chains written with colliding terms: in each 2- or
+    3-cell boundary, one term (c, w, t) becomes (2, w, t), (-3, w, t) and
+    (c + 1, w, t), after terms (1, u, s), (5, u, s) and (-6, u, s) that
+    cancel, with u a random word and s a target the boundary already hits.
+    So blocks land on slots that hold a sum that cancelled to zero; the
+    term 5 scales its entries to zero over F5, and c + 1 = 0 (c = -1) in
+    every domain."""
+    dims = dict(doc.cells)
+    boundaries = dict(doc.boundaries)
+    for cell, terms in doc.boundaries.items():
+        if dims[cell] < 2 or not terms:
+            continue
+        terms = list(terms)
+        k = rng.randrange(len(terms))
+        c, w, t = terms[k]
+        terms[k:k + 1] = [(2, w, t), (-3, w, t), (c + 1, w, t)]
+        s = rng.choice(terms)[2]
+        u = word_mul(*((g * rng.choice([1, -1]),) for g in rng.choices(
+            range(1, len(doc.gens) + 1), k=rng.randint(0, 3)))) \
+            if doc.gens else ()
+        boundaries[cell] = ((1, u, s), (5, u, s), (-6, u, s), *terms)
+    return ScxDocument(gens=doc.gens, relators=doc.relators, cells=doc.cells,
+                       boundaries=boundaries, subs=doc.subs)
+
+
+def assert_specialize_matches_dense(cx, rep, rel_cells, label):
+    """specialize against `dense_boundary`: equal matrices, or a
+    SpecializeError at the first degree whose product of dense matrices is
+    nonzero (`Matrix.__mul__` has its own oracle above).  The twisted
+    complex, or None when rejected."""
+    dense = {d: dense_boundary(cx, rep, rel_cells, d)
+             for d in range(1, MAX_DIM + 1)}
+    bad = next((d for d in range(2, MAX_DIM + 1)
+                if not (dense[d - 1] * dense[d]).is_zero_matrix()), None)
+    try:
+        tc = specialize(cx, rep, rel_cells)
+    except SpecializeError as e:
+        assert bad is not None and f" at degree {bad}: " in str(e), (label, e)
+        return None
+    assert bad is None, label
+    for d in range(1, MAX_DIM + 1):
+        assert tc.boundary_matrix(d) == dense[d], (label, d)
+    return tc
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 @pytest.mark.parametrize("dom", [QQ, GF(5)], ids=["Q", "F5"])
 def test_specialize_matches_dense_builder(docs, name, dom):
+    """On the corpus; its `_collided` copy has the same chains, so it must
+    give the matrices just checked."""
     doc = docs[name]
     cx = doc.complex()
-    rels = [None] + [cx.subcomplex(sub, cells)
-                     for sub, cells in sorted(doc.subs.items())]
+    collided = _bare_complex(_collided(doc, random.Random(name)))
+    rels = [frozenset()] + [cells for _, cells in sorted(doc.subs.items())]
     for rep in _representations(cx.group, dom):
         for rel in rels:
-            tc = specialize(cx, rep, rel)
-            rel_cells = rel.cells if rel else frozenset()
-            for d in range(1, MAX_DIM + 1):
-                assert tc.boundary_matrix(d) == \
-                    dense_boundary(cx, rep, rel_cells, d), \
-                    (name, rep.describe(), rel and rel.name, d)
+            label = (name, rep.describe(), sorted(rel))
+            tc = assert_specialize_matches_dense(cx, rep, rel, label)
+            assert specialize(collided, rep, rel).mats == tc.mats, label
+
+
+def _cocycle(pres):
+    """The first nonzero class with values in -1..2 that vanishes on the
+    relators, else the zero class."""
+    for values in itertools.product((1, -1, 2, 0), repeat=pres.ngens):
+        phi = CohomologyClass(dict(zip(pres.gens, values)))
+        if any(values) and phi.is_cocycle(pres):
+            return phi
+    return CohomologyClass({})
+
+
+@pytest.mark.parametrize("dom,counts", [
+    (QQ, (1072, 56)), (GF(5), (1072, 56)), (LaurentRing(QQ), (1072, 108))],
+    ids=["Q", "F5", "Q[t]"])
+def test_specialize_matches_dense_builder_on_random_complexes(dom, counts):
+    """Random presentation complexes and two `_perturbed` copies of each,
+    each also as its `_collided` copy, under trivial, permutation and
+    regular representations of sampled quotients, over Q, F5 and, twisted
+    by a cocycle, Q[t^±1]; with and without the vertex as the subcomplex.
+    Only perturbed copies may fail d^2 = 0; `counts` pins how many cases
+    ran and how many of them failed."""
+    rng = random.Random(24)
+    ran = rejected = 0
+    for _ in range(15):
+        base = random_presentation_doc(rng)
+        pres = base.presentation()
+        variants = [(base, False)] + [(_perturbed(base, rng), True)
+                                      for _ in range(2)]
+        variants = [(v, bent) for v, bent in variants if v is not None]
+        variants += [(_collided(v, rng), bent) for v, bent in variants]
+        over = dom.base if isinstance(dom, LaurentRing) else dom
+        reps = [trivial_representation(pres, k, over) for k in (1, 2)]
+        quotients = list(enumerate_quotients(pres, 3))
+        for q in rng.sample(quotients, min(3, len(quotients))):
+            reps += [permutation_representation(q, over),
+                     regular_representation(q, over)]
+        if isinstance(dom, LaurentRing):
+            phi = _cocycle(pres)
+            reps = [laurent_twist(rep, phi) for rep in reps]
+        for doc, bent in variants:
+            cx = _bare_complex(doc)
+            for rep in reps:
+                for rel in (frozenset(), frozenset({"v"})):
+                    tc = assert_specialize_matches_dense(
+                        cx, rep, rel, (doc.boundaries, rep.describe(), rel))
+                    assert tc is not None or bent, doc.boundaries
+                    ran += 1
+                    rejected += tc is None
+    assert (ran, rejected) == counts
 
 
 def oracle_orders(cx, phi, rep):

@@ -3,7 +3,8 @@
 import pytest
 
 from scx.algebra import GF, QQ, Matrix
-from scx.groups import (GroupError, GroupPresentation, SizeLimitError,
+from scx.groups import (MAX_WORD_LETTERS, GroupError, GroupPresentation,
+                        SizeLimitError,
                         check_hom, dagger, enumerate_quotients, eval_word,
                         eval_word_perm, make_representation, perm_from_cycles,
                         perm_cycles_str, perm_group_order,
@@ -36,6 +37,17 @@ class TestWords:
     def test_inverse(self):
         w = (1, -2, 1)
         assert word_mul(w, word_inv(w)) == ()
+
+    def test_expansion_is_bounded(self):
+        """The limit counts the letters the factors spell out, before free
+        reduction: x^50000*x^-50001 is refused although it reduces to x^-1."""
+        assert MAX_WORD_LETTERS == 10**5
+        assert FREE1.parse_word(f"x^{MAX_WORD_LETTERS}") == \
+            (1,) * MAX_WORD_LETTERS
+        for text in (f"x^{MAX_WORD_LETTERS + 1}", "x^-999999999",
+                     "x^50000*x^-50001", "x*" * MAX_WORD_LETTERS + "x"):
+            with pytest.raises(GroupError, match="more than 100000 letters"):
+                FREE1.parse_word(text)
 
 
 class TestCheckHom:

@@ -187,7 +187,8 @@ class TestAssignments:
 
 
 class TestInlineRep:
-    """An inline --rep value is the document of the file lines it spells."""
+    """An inline --rep value is the document of the file lines it spells,
+    but for the `gen` line numbers, which only locate errors."""
 
     @pytest.mark.parametrize("spec,text", [
         ("trivial:3", "kind trivial\ndim 3\n"),
@@ -196,7 +197,12 @@ class TestInlineRep:
         ("perm:2:", "kind perm\ndegree 2\n"),
         ("perm:2", "kind perm\ndegree 2\n")])
     def test_same_document(self, spec, text):
-        assert vars(inline_rep(spec)) == vars(parse_rep("rep 1\n" + text))
+        inline, spelled = inline_rep(spec), parse_rep("rep 1\n" + text)
+        assert inline.gen_lines == {}
+        assert spelled.gen_lines == {name: 4 + i for i, name in
+                                     enumerate(spelled.perms)}
+        assert vars(inline) | {"gen_lines": {}} == \
+            vars(spelled) | {"gen_lines": {}}
 
     @pytest.mark.parametrize("spec", [
         "trivial:", "trivial:0", "trivial:x", "perm:0:", "perm:x:",
